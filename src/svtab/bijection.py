@@ -10,8 +10,11 @@ entries to the most recently opened cell of the matching row.
 
 from __future__ import annotations
 
-from svtab.paths import ColouredPath, Step, is_admissible
-from svtab.shapes import SetValuedTableau, TwoRowShape, is_valid
+from collections import Counter
+
+from svtab.paths import ColouredPath, Step, is_admissible, weight
+from svtab.shapes import (SetValuedTableau, TwoRowShape, enumerate_tableaux,
+                          is_valid, shape_range)
 
 
 def tableau_to_path(tab: SetValuedTableau) -> ColouredPath:
@@ -57,3 +60,17 @@ def path_to_tableau(path: ColouredPath) -> SetValuedTableau:
     shape = TwoRowShape(e=e, t=t, f=f)
     content = tuple(frozenset(c) for c in row1 + row2)
     return SetValuedTableau(shape, content, len(path))
+
+
+def tableau_weight_counts(n: int, f: int, t: int) -> Counter:
+    """Counter mapping (c, d, e) to the number of tableaux with n entries.
+
+    Sums over every shape of shapes.shape_range and keys each tableau by
+    the weight of its path, so it is the tableau-side twin of
+    paths.weight_counts.
+    """
+    out: Counter = Counter()
+    for shape in shape_range(n, f, t):
+        for tab in enumerate_tableaux(shape, n):
+            out[weight(tableau_to_path(tab))] += 1
+    return out

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from svtab import formulas, verify
+from svtab import bijection, formulas, shapes, verify
 from svtab.genfun import (expected_downsteps_series, gf_skew, gf_straight)
 
 DEFAULT_ORDER_CAP = 24
@@ -105,14 +105,11 @@ def _count_oracle(args, params: dict) -> int:
             f"--oracle enumerates tableaux and is capped at n <= {ORACLE_MAX_N}")
     f = params.get("f", 0)
     if "c" in params:
-        return verify._tableau_counter(args.n, f, args.t)[
+        return bijection.tableau_weight_counts(args.n, f, args.t)[
             (args.c, args.d, args.e)]
     if "m" in params:
-        from svtab import shapes
-        return sum(
-            shapes.count_tableaux(s, args.n, row_filter=(args.m, args.n - args.m))
-            for s in verify._shape_range(args.n, 0, args.t))
-    return sum(verify._tableau_shape_counts(args.n, f, args.t).values())
+        return shapes.count_by_rows(args.n, args.t, args.m)
+    return sum(shapes.shape_counts(args.n, f, args.t).values())
 
 
 def _emit_count(args, count: Count, params: dict,
@@ -147,10 +144,7 @@ def _emit_count(args, count: Count, params: dict,
 
 
 def _cmd_count(args) -> int:
-    try:
-        count, params = _count_value(args)
-    except ValueError as exc:
-        raise ContractViolation(str(exc))
+    count, params = _count_value(args)
     oracle = _count_oracle(args, params) if args.oracle else None
     return _emit_count(args, count, params, oracle)
 
@@ -161,10 +155,7 @@ def _cmd_count(args) -> int:
 def _cmd_expected(args) -> int:
     if args.n < 2:
         raise ContractViolation("expected value needs n >= 2")
-    try:
-        value = formulas.expected_thm5(args.n, args.t)
-    except ValueError as exc:
-        raise ContractViolation(str(exc))
+    value = formulas.expected_thm5(args.n, args.t)
     if value is None:
         print("no tableaux for these parameters", file=sys.stderr)
         return 1
@@ -366,7 +357,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ContractViolation as exc:
+    except (ContractViolation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

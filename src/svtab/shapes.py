@@ -216,6 +216,25 @@ def count_tableaux(shape: TwoRowShape, n: int,
     return sum(1 for _ in enumerate_tableaux(shape, n, row_filter))
 
 
+def shape_range(n: int, f: int, t: int) -> Iterator[TwoRowShape]:
+    """Every shape (e+t, e)/(f, 0) with at least one and at most n cells."""
+    for e in range(max(0, f - t), (n + f - t) // 2 + 1):
+        if 2 * e + t - f >= 1:
+            yield TwoRowShape(e, t, f)
+
+
+def shape_counts(n: int, f: int, t: int) -> dict[int, int]:
+    """Tableau counts over shape_range, keyed by the second-row length e."""
+    return {shape.e: count_tableaux(shape, n)
+            for shape in shape_range(n, f, t)}
+
+
+def count_by_rows(n: int, t: int, m: int) -> int:
+    """Straight-shape tableaux of excess t with m of the n entries in row 1."""
+    return sum(count_tableaux(shape, n, row_filter=(m, n - m))
+               for shape in shape_range(n, 0, t))
+
+
 def to_json(tab: SetValuedTableau) -> dict:
     coords = cells(tab.shape)
     return {

@@ -25,16 +25,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
-from svtab import formulas, paths, shapes
-from svtab.bijection import tableau_to_path
+from svtab import bijection, formulas, paths, shapes
 from svtab.formulas import Convention
 from svtab.genfun import (SeriesBlocks, expected_downsteps_series, gf_skew,
                           gf_straight, refined_coefficient, skew_drop_terms,
                           skew_rise_terms, straight_terms)
 from svtab.series import NonExactDivision, ZSeries
-from svtab.shapes import TwoRowShape
 
 AGREE = "agree"
 DISAGREE = "disagree"
@@ -52,9 +50,6 @@ MAX_T = 3
 MAX_F = 3
 
 Value = Union[int, Fraction, str, None]
-
-THEOREM_IDS = ("thm1", "cor2", "cor3", "cor4", "thm5", "thm6", "thm7")
-
 
 @dataclass
 class CheckReport:
@@ -139,6 +134,14 @@ def report_is_documented(report: CheckReport) -> bool:
     return documented_edge(report.check, report.params)
 
 
+def _decomps(n: int, f: int, t: int) -> Iterator[tuple[int, int, int]]:
+    # c + d + 2e - f + t = n over nonnegative c, d, e.
+    for e in range((n + f - t) // 2 + 1):
+        rest = n - 2 * e + f - t
+        for c in range(rest + 1):
+            yield c, rest - c, e
+
+
 def feasible_weights(n: int, f: int, t: int) -> list[tuple[int, int, int]]:
     """All (c, d, e) realizable as path weights for the given frame.
 
@@ -147,22 +150,8 @@ def feasible_weights(n: int, f: int, t: int) -> list[tuple[int, int, int]]:
     needs some down-step before it (e >= 1 unless d = 0).  Checked
     against the enumerator: a tuple passes iff some path realizes it.
     """
-    out = []
-    for e in range((n + f - t) // 2 + 1):
-        rest = n - 2 * e + f - t
-        if rest < 0:
-            continue
-        u = e - f + t
-        if u < 0:
-            continue
-        for c in range(rest + 1):
-            d = rest - c
-            if c > 0 and u < 1:
-                continue
-            if d > 0 and e < 1:
-                continue
-            out.append((c, d, e))
-    return sorted(out)
+    return sorted((c, d, e) for c, d, e in _decomps(n, f, t)
+                  if e - f + t >= (c > 0) and e >= (d > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -173,51 +162,22 @@ def _path_counter(n: int, f: int, t: int) -> Counter:
     return paths.weight_counts(n, f, t)
 
 
-def _shape_range(n: int, f: int, t: int) -> Iterator[TwoRowShape]:
-    # e ranges over second-row lengths compatible with n cells and f <= e+t.
-    for e in range(max(0, f - t), (n + f - t) // 2 + 1):
-        if 2 * e + t - f >= 1:
-            yield TwoRowShape(e, t, f)
-
-
 @lru_cache(maxsize=None)
 def _tableau_counter(n: int, f: int, t: int) -> Counter:
-    """Tableau counts keyed by transported (c, d, e) statistics."""
-    out: Counter = Counter()
-    for shape in _shape_range(n, f, t):
-        for tab in shapes.enumerate_tableaux(shape, n):
-            out[paths.weight(tableau_to_path(tab))] += 1
-    return out
+    return bijection.tableau_weight_counts(n, f, t)
 
 
 @lru_cache(maxsize=None)
 def _tableau_shape_counts(n: int, f: int, t: int) -> dict[int, int]:
-    """Tableau counts keyed by second-row length e, no bijection involved."""
-    return {shape.e: shapes.count_tableaux(shape, n)
-            for shape in _shape_range(n, f, t)}
+    return shapes.shape_counts(n, f, t)
 
 
 @lru_cache(maxsize=None)
-def _sym_series(f: int, t: int, order: int) -> ZSeries:
+def _series(f: int, t: int, order: int, *subs: int) -> ZSeries:
+    # subs are integer values substituted for x, y, alpha, in that order.
     if f == 0:
-        return gf_straight(t, order)
-    return gf_skew(f, t, order)
-
-
-@lru_cache(maxsize=None)
-def _total_series(f: int, t: int, order: int) -> ZSeries:
-    if f == 0:
-        return gf_straight(t, order, x_val=1, y_val=1, alpha_val=1)
-    return gf_skew(f, t, order, x_val=1, y_val=1, alpha_val=1)
-
-
-@lru_cache(maxsize=None)
-def _xy1_series(t: int, order: int) -> ZSeries:
-    return gf_straight(t, order, x_val=1, y_val=1)
-
-
-def _series_alpha_coeff(poly, e: int) -> int:
-    return poly.terms.get((0, 0, e), 0)
+        return gf_straight(t, order, *subs)
+    return gf_skew(f, t, order, *subs)
 
 
 # ---------------------------------------------------------------------------
@@ -241,204 +201,169 @@ def _series_order(grid_top: int) -> int:
     return max(grid_top, MAX_T, MAX_F)
 
 
-def _check_refined(check: str, f_range: range, max_n: int) -> list[CheckReport]:
-    series_top = min(max_n, SERIES_BOUND)
-    order = _series_order(series_top)
-    oracle_top = min(max_n, TABLEAU_BOUND)
-    reports = []
-    for n in range(1, series_top + 1):
-        for f in f_range:
-            for t in range(MAX_T + 1):
-                for c, d, e in feasible_weights(n, f, t):
-                    started = time.perf_counter()
-                    params = {"n": n, "f": f, "t": t, "c": c, "d": d, "e": e}
-                    tab = path = None
-                    if n <= oracle_top:
-                        tab = _tableau_counter(n, f, t)[(c, d, e)]
-                        path = _path_counter(n, f, t)[(c, d, e)]
-                    ser = refined_coefficient(
-                        _sym_series(f, t, order), n, c, d, e)
-                    if f == 0:
-                        form = formulas.count_thm1(n, t, c, d, e)
-                    else:
-                        form = formulas.count_thm6(n, f, t, c, d, e)
-                    if check == "thm1":
-                        params.pop("f")
-                    rep = CheckReport(check, params, tab, path, ser, form,
-                                      _statuses([tab, path, ser, form]))
-                    reports.append(_timed(rep, started))
-    return reports
-
-
-def _check_cor2(max_n: int) -> list[CheckReport]:
-    top = min(max_n, PATH_BOUND)
-    order = _series_order(top)
-    reports = []
-    for n in range(1, top + 1):
+def _frames(n: int, fs: Iterable[int]) -> Iterator[dict]:
+    # f = 0 is a straight shape, whose reports carry no f.
+    for f in fs:
         for t in range(MAX_T + 1):
-            for e in range((n - t) // 2 + 1):
-                if n - 2 * e - t < 0:
-                    continue
-                started = time.perf_counter()
-                tab = path = None
-                if n <= TABLEAU_BOUND:
-                    tab = _tableau_shape_counts(n, 0, t).get(e, 0)
-                if n <= PATH_BOUND:
-                    counter = _path_counter(n, 0, t)
-                    path = sum(v for (c, d, ee), v in counter.items() if ee == e)
-                ser = _series_alpha_coeff(_xy1_series(t, order)[n], e)
-                form = formulas.count_cor2(n, t, e)
-                rep = CheckReport("cor2", {"n": n, "t": t, "e": e},
-                                  tab, path, ser, form,
-                                  _statuses([tab, path, ser, form]))
-                reports.append(_timed(rep, started))
-    return reports
+            yield {"n": n, "f": f, "t": t} if f else {"n": n, "t": t}
 
 
-def _check_cor3(max_n: int) -> list[CheckReport]:
-    top = min(max_n, PATH_BOUND)
-    order = _series_order(top)
-    reports = []
-    for n in range(1, top + 1):
-        for t in range(MAX_T + 1):
-            for m in range(n + 1):
-                started = time.perf_counter()
-                tab = path = None
-                if n <= TABLEAU_BOUND:
-                    tab = sum(
-                        shapes.count_tableaux(s, n, row_filter=(m, n - m))
-                        for s in _shape_range(n, 0, t))
-                if n <= PATH_BOUND:
-                    counter = _path_counter(n, 0, t)
-                    path = sum(v for (c, d, e), v in counter.items()
-                               if c + e + t == m)
-                ser = sum(
-                    refined_coefficient(_sym_series(0, t, order), n, c, d, e)
-                    for c, d, e in feasible_weights(n, 0, t) if c + e + t == m)
-                try:
-                    form = formulas.count_cor3(n, t, m)
-                    status = _statuses([tab, path, ser, form])
-                except ValueError:
-                    # n = 1 is outside the closed form's stated domain.
-                    form, status = None, EXCLUDED
-                rep = CheckReport("cor3", {"n": n, "t": t, "m": m},
-                                  tab, path, ser, form, status)
-                reports.append(_timed(rep, started))
-    return reports
+def _weights(n: int, fs: Iterable[int]) -> Iterator[dict]:
+    for p in _frames(n, fs):
+        for c, d, e in feasible_weights(n, p.get("f", 0), p["t"]):
+            yield dict(p, c=c, d=d, e=e)
 
 
-def _check_totals(check: str, f_range: range, max_n: int) -> list[CheckReport]:
-    top = min(max_n, PATH_BOUND)
-    order = _series_order(top)
-    reports = []
-    for n in range(1, top + 1):
-        for f in f_range:
-            for t in range(MAX_T + 1):
-                started = time.perf_counter()
-                tab = path = None
-                if n <= TABLEAU_BOUND:
-                    tab = sum(_tableau_shape_counts(n, f, t).values())
-                if n <= PATH_BOUND:
-                    path = sum(_path_counter(n, f, t).values())
-                ser = _total_series(f, t, order)[n].constant_value()
-                if check == "cor4":
-                    form = formulas.count_cor4(n, t)
-                    params = {"n": n, "t": t}
-                else:
-                    form = formulas.count_thm7(n, f, t)
-                    params = {"n": n, "f": f, "t": t}
-                rep = CheckReport(check, params, tab, path, ser, form,
-                                  _statuses([tab, path, ser, form]))
-                reports.append(_timed(rep, started))
-    return reports
+def _mean(pairs: Iterable[tuple[int, int]]) -> Optional[Fraction]:
+    # Mean of e over (e, count) pairs; None when nothing is counted.
+    pairs = list(pairs)
+    total = sum(k for _, k in pairs)
+    return Fraction(sum(e * k for e, k in pairs), total) if total else None
 
 
-def _check_thm5(max_n: int) -> list[CheckReport]:
-    top = min(max_n, PATH_BOUND)
-    order = _series_order(top)
-    reports = []
-    for n in range(2, top + 1):
-        for t in range(MAX_T + 1):
-            started = time.perf_counter()
-            tab = path = None
-            if n <= PATH_BOUND:
-                by_shape = _tableau_shape_counts(n, 0, t)
-                total = sum(by_shape.values())
-                if total:
-                    tab = Fraction(
-                        sum(e * k for e, k in by_shape.items()), total)
-                counter = _path_counter(n, 0, t)
-                p_total = sum(counter.values())
-                if p_total:
-                    path = Fraction(
-                        sum(e * v for (c, d, e), v in counter.items()),
-                        p_total)
-            ser = expected_downsteps_series(t, order)[n]
-            form = formulas.expected_thm5(n, t)
-            rep = CheckReport("thm5", {"n": n, "t": t}, tab, path, ser, form,
-                              _statuses([tab, path, ser, form]))
-            reports.append(_timed(rep, started))
-    return reports
+def _weight_tableaux(n: int, t: int, c: int, d: int, e: int,
+                     f: int = 0) -> int:
+    return _tableau_counter(n, f, t)[(c, d, e)]
 
 
-def _check_remark(max_n: int) -> list[CheckReport]:
-    """remark_1_10 against oracles and series at f = t."""
-    top = min(max_n, PATH_BOUND)
-    order = _series_order(top)
-    reports = []
-    for n in range(1, top + 1):
-        for t in range(1, MAX_T + 1):
-            started = time.perf_counter()
-            tab = path = None
-            if n <= TABLEAU_BOUND:
-                tab = sum(_tableau_shape_counts(n, t, t).values())
-            if n <= PATH_BOUND:
-                path = sum(_path_counter(n, t, t).values())
-            ser = _total_series(t, t, order)[n].constant_value()
-            form = formulas.remark_1_10(n, t)
-            rep = CheckReport("remark_1_10", {"n": n, "t": t},
-                              tab, path, ser, form,
-                              _statuses([tab, path, ser, form]))
-            reports.append(_timed(rep, started))
-    return reports
+def _weight_paths(n: int, t: int, c: int, d: int, e: int, f: int = 0) -> int:
+    return _path_counter(n, f, t)[(c, d, e)]
+
+
+def _weight_series(order: int, n: int, t: int, c: int, d: int, e: int,
+                   f: int = 0) -> int:
+    return refined_coefficient(_series(f, t, order), n, c, d, e)
+
+
+def _total_tableaux(n: int, t: int, f: int = 0) -> int:
+    return sum(_tableau_shape_counts(n, f, t).values())
+
+
+def _total_paths(n: int, t: int, f: int = 0) -> int:
+    return sum(_path_counter(n, f, t).values())
+
+
+def _total_series(order: int, n: int, t: int, f: int = 0) -> int:
+    return _series(f, t, order, 1, 1, 1)[n].constant_value()
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One theorem family: its grid, its four layers and its caps.
+
+    grid(n) yields the report params at length n in canonical order.
+    Each layer is called with those params as keyword arguments, the
+    series layer with the series order before them.  The series and
+    formula layers run for n <= top, the oracles up to their own caps.
+    """
+
+    grid: Callable[[int], Iterable[dict]]
+    tableau: Callable[..., Value]
+    path: Callable[..., Value]
+    series: Callable[..., Value]
+    formula: Callable[..., Value]
+    top: int = PATH_BOUND
+    tableau_cap: int = TABLEAU_BOUND
+    path_cap: int = PATH_BOUND
+    first_n: int = 1
+
+
+_FAMILIES: dict[str, _Family] = {
+    # The refined families gate their path layer on TABLEAU_BOUND.
+    "thm1": _Family(
+        lambda n: _weights(n, (0,)),
+        _weight_tableaux, _weight_paths, _weight_series,
+        lambda n, t, c, d, e: formulas.count_thm1(n, t, c, d, e),
+        top=SERIES_BOUND, path_cap=TABLEAU_BOUND),
+    "cor2": _Family(
+        lambda n: ({"n": n, "t": t, "e": e} for t in range(MAX_T + 1)
+                   for e in range((n - t) // 2 + 1)),
+        lambda n, t, e: _tableau_shape_counts(n, 0, t).get(e, 0),
+        lambda n, t, e: sum(v for (_, _, ee), v in
+                            _path_counter(n, 0, t).items() if ee == e),
+        lambda order, n, t, e:
+            _series(0, t, order, 1, 1)[n].terms.get((0, 0, e), 0),
+        lambda n, t, e: formulas.count_cor2(n, t, e)),
+    "cor3": _Family(
+        lambda n: ({"n": n, "t": t, "m": m} for t in range(MAX_T + 1)
+                   for m in range(n + 1)),
+        lambda n, t, m: shapes.count_by_rows(n, t, m),
+        lambda n, t, m: sum(v for (c, _, e), v in
+                            _path_counter(n, 0, t).items() if c + e + t == m),
+        lambda order, n, t, m: sum(
+            refined_coefficient(_series(0, t, order), n, c, d, e)
+            for c, d, e in feasible_weights(n, 0, t) if c + e + t == m),
+        # n = 1 is outside the closed form's stated domain (ValueError).
+        lambda n, t, m: formulas.count_cor3(n, t, m)),
+    "cor4": _Family(
+        lambda n: _frames(n, (0,)),
+        _total_tableaux, _total_paths, _total_series,
+        lambda n, t: formulas.count_cor4(n, t)),
+    "thm5": _Family(
+        lambda n: _frames(n, (0,)),
+        lambda n, t: _mean(_tableau_shape_counts(n, 0, t).items()),
+        lambda n, t: _mean((e, v) for (_, _, e), v in
+                           _path_counter(n, 0, t).items()),
+        lambda order, n, t: expected_downsteps_series(t, order)[n],
+        lambda n, t: formulas.expected_thm5(n, t),
+        # PATH_BOUND, not TABLEAU_BOUND: a fix would change the report bytes.
+        tableau_cap=PATH_BOUND, first_n=2),
+    "thm6": _Family(
+        lambda n: _weights(n, range(1, MAX_F + 1)),
+        _weight_tableaux, _weight_paths, _weight_series,
+        lambda n, f, t, c, d, e: formulas.count_thm6(n, f, t, c, d, e),
+        top=SERIES_BOUND, path_cap=TABLEAU_BOUND),
+    "thm7": _Family(
+        lambda n: _frames(n, range(1, MAX_F + 1)),
+        _total_tableaux, _total_paths, _total_series,
+        lambda n, f, t: formulas.count_thm7(n, f, t)),
+    # The remark's f = t frame, against oracles and series.
+    "remark_1_10": _Family(
+        lambda n: ({"n": n, "t": t} for t in range(1, MAX_T + 1)),
+        lambda n, t: _total_tableaux(n, t, f=t),
+        lambda n, t: _total_paths(n, t, f=t),
+        lambda order, n, t: _total_series(order, n, t, f=t),
+        lambda n, t: formulas.remark_1_10(n, t)),
+}
+
+THEOREM_IDS = tuple(_FAMILIES)
 
 
 def check_theorem(check: str, max_n: int) -> list[CheckReport]:
     """Run one family of comparisons over its default grid up to max_n.
 
-    Oracle layers stop at their own caps (tableaux n <= 8, paths n <= 9)
-    and appear as None beyond; series and closed forms run to
-    min(max_n, 12).  Reports come back in canonical sorted order.
+    Series and closed forms run to min(max_n, 12) for thm1 and thm6 and
+    to min(max_n, 9) for every other family.  Tableaux stop at n <= 8
+    (n <= 9 for thm5), paths at n <= 9 (n <= 8 for thm1 and thm6); a
+    layer beyond its cap appears as None.  A ValueError from the closed
+    form marks the point formula-domain-excluded.  Reports come back in
+    canonical sorted order.
     """
-    if check == "thm1":
-        return _check_refined("thm1", range(0, 1), max_n)
-    if check == "thm6":
-        return _check_refined("thm6", range(1, MAX_F + 1), max_n)
-    if check == "cor2":
-        return _check_cor2(max_n)
-    if check == "cor3":
-        return _check_cor3(max_n)
-    if check == "cor4":
-        return _check_totals("cor4", range(0, 1), max_n)
-    if check == "thm5":
-        return _check_thm5(max_n)
-    if check == "thm7":
-        return _check_totals("thm7", range(1, MAX_F + 1), max_n)
-    raise ValueError(f"unknown check id {check!r}")
+    if check not in _FAMILIES:
+        raise ValueError(f"unknown check id {check!r}")
+    fam = _FAMILIES[check]
+    top = min(max_n, fam.top)
+    order = _series_order(top)
+    reports = []
+    for n in range(fam.first_n, top + 1):
+        for params in fam.grid(n):
+            started = time.perf_counter()
+            tab = fam.tableau(**params) if n <= fam.tableau_cap else None
+            path = fam.path(**params) if n <= fam.path_cap else None
+            ser = fam.series(order, **params)
+            try:
+                form = fam.formula(**params)
+            except ValueError:
+                form, status = None, EXCLUDED
+            else:
+                status = _statuses([tab, path, ser, form])
+            rep = CheckReport(check, params, tab, path, ser, form, status)
+            reports.append(_timed(rep, started))
+    return reports
 
 
 # ---------------------------------------------------------------------------
 # identity registry, ids 12..36
-
-def _decomps(n: int, f: int, t: int) -> Iterator[tuple[int, int, int]]:
-    # c + d + 2e - f + t = n over nonnegative c, d, e.
-    for e in range((n + f - t) // 2 + 1):
-        rest = n - 2 * e + f - t
-        if rest < 0:
-            continue
-        for c in range(rest + 1):
-            yield c, rest - c, e
-
 
 def _sign(k: int) -> int:
     return -1 if k % 2 else 1
@@ -448,161 +373,107 @@ _term = Convention.term
 _binom = Convention.binom
 
 
-def _rhs12(n: int, t: int) -> dict:
-    b = _binom(n - 1, t - 1)
-    return {(n - t, 0, 0): Fraction(b)} if b and n >= t else {}
+def _rhs12(n: int, f: int, t: int, c: int, d: int, e: int) -> int:
+    return _binom(n - 1, t - 1) if (c, d, e) == (n - t, 0, 0) else 0
 
 
-def _rhs13(n: int, t: int) -> dict:
-    out = {}
-    for c, d, e in _decomps(n, 0, t):
-        v = _term((), (n - 1,), (n - c - e,), (c, d, e - 1, n - c - d - e - 1))
-        for b in range(n - c - e + 1, n - e + 2):
-            v -= _sign(n - b - c - e + 1) * _term(
-                (n - b,), (n - 1,), (b,), (d, b - 1 - d, e - 1, n - b - e + 1))
-        if v:
-            out[(c, d, e)] = v
-    return out
+def _rhs13(n: int, f: int, t: int, c: int, d: int, e: int) -> Fraction:
+    v = _term((), (n - 1,), (n - c - e,), (c, d, e - 1, n - c - d - e - 1))
+    for b in range(n - c - e + 1, n - e + 2):
+        v -= _sign(n - b - c - e + 1) * _term(
+            (n - b,), (n - 1,), (b,), (d, b - 1 - d, e - 1, n - b - e + 1))
+    return v
 
 
-def _rhs14(n: int, t: int) -> dict:
-    out = {}
-    for c, d, e in _decomps(n, 0, t):
-        v = _term((t,), (n - 1,), (d + e, n - c - e),
-                  (n - c - d - e - 1, c, d, e - 1))
-        if v:
-            out[(c, d, e)] = v
-    return out
+def _rhs14(n: int, f: int, t: int, c: int, d: int, e: int) -> Fraction:
+    return _term((t,), (n - 1,), (d + e, n - c - e),
+                 (n - c - d - e - 1, c, d, e - 1))
 
 
-def _rhs19(n: int, f: int) -> dict:
-    b = _binom(n - 1, f - 1)
-    return {(0, n - f, f): Fraction(b)} if b and n >= f else {}
+def _rhs19(n: int, f: int, t: int, c: int, d: int, e: int) -> int:
+    return _binom(n - 1, f - 1) if (c, d, e) == (0, n - f, f) else 0
 
 
-def _rhs20(n: int, f: int, t: int) -> dict:
-    out = {}
-    for c, d, e in _decomps(n, f, t):
-        v = _term((f,), (n - 1,), (c + e - f, n - d - e + f),
-                  (n - c - d - e + f - 1, c, d, e - f - 1))
-        if v:
-            out[(c, d, e)] = v
-    return out
+def _rhs20(n: int, f: int, t: int, c: int, d: int, e: int) -> Fraction:
+    return _term((f,), (n - 1,), (c + e - f, n - d - e + f),
+                 (n - c - d - e + f - 1, c, d, e - f - 1))
 
 
-def _rhs21(n: int, f: int, t: int) -> dict:
-    out = {}
-    for c, d, e in _decomps(n, f, t):
-        v = _term((), (n - 1,), (c + e - f + t,),
-                  (c, d, e - f + t - 1, e - 1))
-        v -= _term((), (n - 1, n - d - f + t - 1), (c + e - f + t,),
-                   (c, d, n - d - 1, e - f + t - 1, e - f + t - 1))
-        v -= _term((), (n - 1,), (c + e - f,), (c, d, e - f - 1, e + t - 1))
-        v += _term((), (n - 1, n - d - f + t - 1), (c + e - f,),
-                   (c, d, n - d - 1, e - f - 1, e - f + 2 * t - 1))
-        if v:
-            out[(c, d, e)] = v
-    return out
+def _rhs21(n: int, f: int, t: int, c: int, d: int, e: int) -> Fraction:
+    v = _term((), (n - 1,), (c + e - f + t,), (c, d, e - f + t - 1, e - 1))
+    v -= _term((), (n - 1, n - d - f + t - 1), (c + e - f + t,),
+               (c, d, n - d - 1, e - f + t - 1, e - f + t - 1))
+    v -= _term((), (n - 1,), (c + e - f,), (c, d, e - f - 1, e + t - 1))
+    v += _term((), (n - 1, n - d - f + t - 1), (c + e - f,),
+               (c, d, n - d - 1, e - f - 1, e - f + 2 * t - 1))
+    return v
 
 
-def _rhs22(n: int, f: int, t: int) -> dict:
-    out = {}
-    for c, d, e in _decomps(n, f, t):
-        v = _term((), (n - 1, n - d - f + t - 1), (n - d - e,),
-                  (c, d, n - d - 1, e - f + t - 1, e - f + t - 1))
-        v -= _term((), (n - 1, n - d - f - 1), (n - d - e,),
-                   (c, d, n - d - 1, e - f - 1, e - f + t - 1))
-        if v:
-            out[(c, d, e)] = v
-    return out
+def _rhs22(n: int, f: int, t: int, c: int, d: int, e: int) -> Fraction:
+    v = _term((), (n - 1, n - d - f + t - 1), (n - d - e,),
+              (c, d, n - d - 1, e - f + t - 1, e - f + t - 1))
+    v -= _term((), (n - 1, n - d - f - 1), (n - d - e,),
+               (c, d, n - d - 1, e - f - 1, e - f + t - 1))
+    return v
 
 
-def _rhs23(n: int, f: int, t: int) -> dict:
-    out = {}
-    for c, d, e in _decomps(n, f, t):
-        v = _term((), (n - 1, n - d - f - 1), (c + e - f,),
-                  (c, d, n - d - 1, e - f + t - 1, e - f - 1))
-        v -= _term((), (n - 1, n - d - f + t - 1), (c + e - f,),
-                   (c, d, n - d - 1, e - f + 2 * t - 1, e - f - 1))
-        if v:
-            out[(c, d, e)] = v
-    return out
+def _rhs23(n: int, f: int, t: int, c: int, d: int, e: int) -> Fraction:
+    v = _term((), (n - 1, n - d - f - 1), (c + e - f,),
+              (c, d, n - d - 1, e - f + t - 1, e - f - 1))
+    v -= _term((), (n - 1, n - d - f + t - 1), (c + e - f,),
+               (c, d, n - d - 1, e - f + 2 * t - 1, e - f - 1))
+    return v
 
 
-def _rhs24(n: int, f: int, t: int) -> dict:
-    out = {}
-    for c, d, e in _decomps(n, f, t):
-        v = _term((), (n - 1,), (n - c - e + f,),
-                  (c, d, e - f - 1, n - c - d - e + f - 1))
-        for b in range(n - c - e + f + 1, n - e + f + 2):
-            v -= _sign(n - b - c - e + f + 1) * _term(
-                (n - b,), (n - 1,), (b,),
-                (d, b - 1 - d, e - f - 1, n - b - e + f + 1))
-        if v:
-            out[(c, d, e)] = v
-    return out
+def _rhs24(n: int, f: int, t: int, c: int, d: int, e: int) -> Fraction:
+    v = _term((), (n - 1,), (n - c - e + f,),
+              (c, d, e - f - 1, n - c - d - e + f - 1))
+    for b in range(n - c - e + f + 1, n - e + f + 2):
+        v -= _sign(n - b - c - e + f + 1) * _term(
+            (n - b,), (n - 1,), (b,),
+            (d, b - 1 - d, e - f - 1, n - b - e + f + 1))
+    return v
 
 
-def _rhs25(n: int, f: int, t: int) -> dict:
-    out = {}
-    for c, d, e in _decomps(n, f, t):
-        v = _term((), (n - 1,), (n - c - e + f - t,),
-                  (c, d, e - f + t - 1, e - 1))
-        v -= _term((), (n - 1,), (n - c - e + f,),
-                   (c, d, e - f - 1, e + t - 1))
-        if v:
-            out[(c, d, e)] = v
-    return out
+def _rhs25(n: int, f: int, t: int, c: int, d: int, e: int) -> Fraction:
+    v = _term((), (n - 1,), (n - c - e + f - t,), (c, d, e - f + t - 1, e - 1))
+    v -= _term((), (n - 1,), (n - c - e + f,), (c, d, e - f - 1, e + t - 1))
+    return v
 
 
-def _rhs26(n: int, f: int, t: int) -> dict:
-    out = {}
-    for c, d, e in _decomps(n, f, t):
-        v = _term((), (n - 1,), (n - d - e,), (c, d, e - 1, e - f + t - 1))
-        v -= _term((), (n - 1,), (n - d - e + f,),
-                   (c, d, e - f - 1, e + t - 1))
-        if v:
-            out[(c, d, e)] = v
-    return out
+def _rhs26(n: int, f: int, t: int, c: int, d: int, e: int) -> Fraction:
+    v = _term((), (n - 1,), (n - d - e,), (c, d, e - 1, e - f + t - 1))
+    v -= _term((), (n - 1,), (n - d - e + f,), (c, d, e - f - 1, e + t - 1))
+    return v
 
 
-def _rhs27(n: int, f: int, t: int) -> dict:
-    out = {}
-    for c, d, e in _decomps(n, f, t):
-        v = _term((t - f,), (n - 1,), (d + e, n - c - e),
-                  (n - c - d - e - 1, c, d, e - 1))
-        if v:
-            out[(c, d, e)] = v
-    return out
+def _rhs27(n: int, f: int, t: int, c: int, d: int, e: int) -> Fraction:
+    return _term((t - f,), (n - 1,), (d + e, n - c - e),
+                 (n - c - d - e - 1, c, d, e - 1))
 
 
-def _rhs28(n: int, f: int, t: int) -> dict:
-    out = {}
-    for c, d, e in _decomps(n, f, t):
-        v = _term((), (n - 1,), (d + e - f + t,),
-                  (c, d, e - 1, e - f + t - 1))
-        v -= _term((), (n - 1,), (d + e + t,), (c, d, e - f - 1, e + t - 1))
-        if v:
-            out[(c, d, e)] = v
-    return out
+def _rhs28(n: int, f: int, t: int, c: int, d: int, e: int) -> Fraction:
+    v = _term((), (n - 1,), (d + e - f + t,), (c, d, e - 1, e - f + t - 1))
+    v -= _term((), (n - 1,), (d + e + t,), (c, d, e - f - 1, e + t - 1))
+    return v
 
 
-def _rhs15(n: int, t: int) -> int:
+def _rhs15(n: int, f: int, t: int) -> int:
     return _binom(2*n - 3, n - t - 2) - _binom(2*n - 3, n - t - 3)
 
 
-def _rhs16(n: int, t: int) -> int:
+def _rhs16(n: int, f: int, t: int) -> int:
     return (_binom(2*n - 3, n - t - 1) - _binom(2*n - 3, n - t - 2)
             - _binom(n - 2, t - 1))
 
 
-def _rhs17(n: int, t: int) -> int:
+def _rhs17(n: int, f: int, t: int) -> int:
     return (_binom(2*n - 5, n - t - 2) + _binom(2*n - 5, n - t - 3)
             + (n - 3) * _binom(2*n - 5, n - t - 4)
             - (n + 1) * _binom(2*n - 5, n - t - 5))
 
 
-def _rhs18(n: int, t: int) -> int:
+def _rhs18(n: int, f: int, t: int) -> int:
     return (_binom(2*n - 5, n - t - 1) + (n - 3) * _binom(2*n - 5, n - t - 3)
             - n * _binom(2*n - 5, n - t - 4) - _binom(n - 3, n - t - 1))
 
@@ -691,86 +562,72 @@ _FULL_GRID = tuple({"f": f, "t": t}
 
 _AT_111 = {"x_val": 1, "y_val": 1, "alpha_val": 1}
 
-# id -> (symbolic?, sub-grid, builder(point, order), rhs(point, n)).
+# id -> (symbolic?, sub-grid, builder(point, order), rhs).  rhs takes
+# (n, f, t, c, d, e) and gives the x^c y^d alpha^e coefficient of [z^n]
+# where the identity is symbolic, and takes (n, f, t) and gives the
+# integer [z^n] where it is specialized; f and t are 0 where the
+# sub-grid has no such key.
 _LEMMAS: dict[int, tuple] = {
     12: (True, _T_GRID,
-         lambda p, o: SeriesBlocks(o).geom_x ** p["t"],
-         lambda p, n: _rhs12(n, p["t"])),
+         lambda p, o: SeriesBlocks(o).geom_x ** p["t"], _rhs12),
     13: (True, _T_GRID,
-         lambda p, o: straight_terms(p["t"], o)[1],
-         lambda p, n: _rhs13(n, p["t"])),
+         lambda p, o: straight_terms(p["t"], o)[1], _rhs13),
     14: (True, _T_GRID,
-         lambda p, o: straight_terms(p["t"], o)[2],
-         lambda p, n: _rhs14(n, p["t"])),
+         lambda p, o: straight_terms(p["t"], o)[2], _rhs14),
     15: (False, _T_GRID,
-         lambda p, o: straight_terms(p["t"], o, **_AT_111)[1],
-         lambda p, n: _rhs15(n, p["t"])),
+         lambda p, o: straight_terms(p["t"], o, **_AT_111)[1], _rhs15),
     16: (False, _T_GRID,
-         lambda p, o: straight_terms(p["t"], o, **_AT_111)[2],
-         lambda p, n: _rhs16(n, p["t"])),
+         lambda p, o: straight_terms(p["t"], o, **_AT_111)[2], _rhs16),
     17: (False, _T_GRID,
          lambda p, o: straight_terms(p["t"], o, x_val=1, y_val=1)[1]
-         .alpha_derivative().substitute(alpha=1),
-         lambda p, n: _rhs17(n, p["t"])),
+         .alpha_derivative().substitute(alpha=1), _rhs17),
     18: (False, _T_GRID,
          lambda p, o: straight_terms(p["t"], o, x_val=1, y_val=1)[2]
-         .alpha_derivative().substitute(alpha=1),
-         lambda p, n: _rhs18(n, p["t"])),
+         .alpha_derivative().substitute(alpha=1), _rhs18),
     19: (True, _F_GRID,
          lambda p, o: (lambda b: b.geom_y.scale(b.alpha_poly) ** p["f"])(
-             SeriesBlocks(o)),
-         lambda p, n: _rhs19(n, p["f"])),
+             SeriesBlocks(o)), _rhs19),
     20: (True, _DROP_GRID,
-         lambda p, o: skew_drop_terms(p["f"], p["t"], o)[1],
-         lambda p, n: _rhs20(n, p["f"], p["t"])),
+         lambda p, o: skew_drop_terms(p["f"], p["t"], o)[1], _rhs20),
     21: (True, _DROP_GRID,
-         lambda p, o: skew_drop_terms(p["f"], p["t"], o)[2],
-         lambda p, n: _rhs21(n, p["f"], p["t"])),
+         lambda p, o: skew_drop_terms(p["f"], p["t"], o)[2], _rhs21),
     22: (True, _DROP_GRID,
-         lambda p, o: skew_drop_terms(p["f"], p["t"], o)[3],
-         lambda p, n: _rhs22(n, p["f"], p["t"])),
+         lambda p, o: skew_drop_terms(p["f"], p["t"], o)[3], _rhs22),
     23: (True, _DROP_GRID,
-         lambda p, o: skew_drop_terms(p["f"], p["t"], o)[4],
-         lambda p, n: _rhs23(n, p["f"], p["t"])),
+         lambda p, o: skew_drop_terms(p["f"], p["t"], o)[4], _rhs23),
     24: (True, _FULL_GRID,
-         lambda p, o: _build24(p["f"], p["t"], o),
-         lambda p, n: _rhs24(n, p["f"], p["t"])),
+         lambda p, o: _build24(p["f"], p["t"], o), _rhs24),
     25: (True, _DROP_GRID,
-         lambda p, o: skew_drop_terms(p["f"], p["t"], o)[6],
-         lambda p, n: _rhs25(n, p["f"], p["t"])),
+         lambda p, o: skew_drop_terms(p["f"], p["t"], o)[6], _rhs25),
     26: (True, _RISE_GRID,
-         lambda p, o: skew_rise_terms(p["f"], p["t"], o)[1],
-         lambda p, n: _rhs26(n, p["f"], p["t"])),
+         lambda p, o: skew_rise_terms(p["f"], p["t"], o)[1], _rhs26),
     27: (True, _RISE_GRID,
-         lambda p, o: skew_rise_terms(p["f"], p["t"], o)[3],
-         lambda p, n: _rhs27(n, p["f"], p["t"])),
+         lambda p, o: skew_rise_terms(p["f"], p["t"], o)[3], _rhs27),
     28: (True, _RISE_GRID,
-         lambda p, o: skew_rise_terms(p["f"], p["t"], o)[4],
-         lambda p, n: _rhs28(n, p["f"], p["t"])),
+         lambda p, o: skew_rise_terms(p["f"], p["t"], o)[4], _rhs28),
     29: (False, _DROP_GRID,
          lambda p, o: skew_drop_terms(p["f"], p["t"], o, **_AT_111)[1],
-         lambda p, n: _rhs29(n, p["f"], p["t"])),
+         _rhs29),
     30: (False, _DROP_GRID,
          lambda p, o: skew_drop_terms(p["f"], p["t"], o, **_AT_111)[2],
-         lambda p, n: _rhs30(n, p["f"], p["t"])),
+         _rhs30),
     31: (False, _DROP_GRID,
          lambda p, o: skew_drop_terms(p["f"], p["t"], o, **_AT_111)[3],
-         lambda p, n: _rhs31(n, p["f"], p["t"])),
+         _rhs31),
     32: (False, _DROP_GRID,
          lambda p, o: skew_drop_terms(p["f"], p["t"], o, **_AT_111)[4],
-         lambda p, n: _rhs32(n, p["f"], p["t"])),
+         _rhs32),
     33: (False, _FULL_GRID,
-         lambda p, o: _build33(p["f"], p["t"], o),
-         lambda p, n: _rhs33(n, p["f"], p["t"])),
+         lambda p, o: _build33(p["f"], p["t"], o), _rhs33),
     34: (False, _DROP_GRID,
          lambda p, o: skew_drop_terms(p["f"], p["t"], o, **_AT_111)[6],
-         lambda p, n: _rhs34(n, p["f"], p["t"])),
+         _rhs34),
     35: (False, _RISE_GRID,
          lambda p, o: skew_rise_terms(p["f"], p["t"], o, **_AT_111)[1],
-         lambda p, n: _rhs35(n, p["f"], p["t"])),
+         _rhs35),
     36: (False, _RISE_GRID,
          lambda p, o: skew_rise_terms(p["f"], p["t"], o, **_AT_111)[3],
-         lambda p, n: _rhs36(n, p["f"], p["t"])),
+         _rhs36),
 }
 
 LEMMA_IDS = tuple(sorted(_LEMMAS))
@@ -798,12 +655,13 @@ def check_lemma(lemma_id: int, n: int, order: int) -> CheckReport:
         raise ValueError(f"unknown lemma id {lemma_id!r}")
     if n > order:
         raise ValueError(f"need order >= n, got order={order} n={n}")
-    symbolic, grid, _, rhs_eval = _LEMMAS[lemma_id]
+    symbolic, grid, _, rhs = _LEMMAS[lemma_id]
     started = time.perf_counter()
     params: dict = {"lemma": lemma_id, "n": n}
     mismatches = []
     first_lhs = first_rhs = None
     for point in grid:
+        f, t = point.get("f", 0), point.get("t", 0)
         key = tuple(sorted(point.items()))
         try:
             series = _lemma_series(lemma_id, key, order)
@@ -814,7 +672,8 @@ def check_lemma(lemma_id: int, n: int, order: int) -> CheckReport:
             return _timed(rep, started)
         if symbolic:
             got = {k: Fraction(v) for k, v in series[n].terms.items()}
-            want = {k: v for k, v in rhs_eval(point, n).items() if v}
+            want = {w: v for w in _decomps(n, f, t)
+                    if (v := rhs(n, f, t, *w))}
             if got != want:
                 mismatches.append(dict(point))
                 if first_lhs is None:
@@ -826,7 +685,7 @@ def check_lemma(lemma_id: int, n: int, order: int) -> CheckReport:
                     first_rhs = f"{want.get(key0, 0)}"
         else:
             got_i = series[n].constant_value()
-            want_i = rhs_eval(point, n)
+            want_i = rhs(n, f, t)
             if got_i != want_i:
                 mismatches.append(dict(point))
                 if first_lhs is None:
@@ -864,45 +723,48 @@ def check_identity_10_1(bound: int = IDENTITY_BOUND) -> list[CheckReport]:
 # ---------------------------------------------------------------------------
 # full run
 
+def _reports(max_n: int) -> Iterator[CheckReport]:
+    if max_n < 1:
+        return
+    for check in THEOREM_IDS:
+        yield from check_theorem(check, max_n)
+    lemma_top = min(max_n, LEMMA_BOUND)
+    lemma_order = _series_order(lemma_top)
+    for lemma_id in LEMMA_IDS:
+        for n in range(1, lemma_top + 1):
+            yield check_lemma(lemma_id, n, lemma_order)
+    yield from check_identity_10_1()
+
+
 def run_all(max_n: int,
             sink: Optional[Callable[[CheckReport], None]] = None) -> dict:
     """Execute the whole default grid and summarize.
 
     Grid: every theorem family to its caps, the remark, the identity
     registry to min(max_n, 10), and the b-sum helper identity.  max_n = 0
-    runs nothing.  Reports stream to sink (if given) in canonical order.
-    The summary's "ok" is True exactly when nothing disagreed outside the
-    documented edges and no builder failed.
+    runs nothing.  Each report goes to sink (if given) as soon as it is
+    produced, in canonical order.  The summary's "ok" is True exactly
+    when nothing disagreed outside the documented edges and no builder
+    failed.
     """
     reports: list[CheckReport] = []
-    if max_n >= 1:
-        for check in THEOREM_IDS:
-            reports.extend(check_theorem(check, max_n))
-        reports.extend(_check_remark(max_n))
-        lemma_top = min(max_n, LEMMA_BOUND)
-        lemma_order = _series_order(lemma_top)
-        for lemma_id in LEMMA_IDS:
-            for n in range(1, lemma_top + 1):
-                reports.append(check_lemma(lemma_id, n, lemma_order))
-        reports.extend(check_identity_10_1())
-    if sink is not None:
-        for rep in reports:
-            sink(rep)
-
     counts = {AGREE: 0, DISAGREE: 0, EXCLUDED: 0, BUILDER_ERROR: 0}
     documented = []
     undocumented = []
     excluded = []
-    for rep in reports:
+    for rep in _reports(max_n):
+        reports.append(rep)
         counts[rep.status] += 1
+        entry = {"check": rep.check, "params": rep.params}
         if rep.status == DISAGREE:
-            entry = {"check": rep.check, "params": rep.params}
             if report_is_documented(rep):
                 documented.append(entry)
             else:
                 undocumented.append(entry)
         elif rep.status == EXCLUDED:
-            excluded.append({"check": rep.check, "params": rep.params})
+            excluded.append(entry)
+        if sink is not None:
+            sink(rep)
     summary = {
         "max_n": max_n,
         "total": len(reports),

@@ -4,8 +4,10 @@ from collections import Counter
 
 import pytest
 
-from svtab.bijection import path_to_tableau, tableau_to_path
-from svtab.paths import decode_path, encode_path, enumerate_paths, weight
+from svtab.bijection import (path_to_tableau, tableau_to_path,
+                             tableau_weight_counts)
+from svtab.paths import (decode_path, encode_path, enumerate_paths, weight,
+                         weight_counts)
 from svtab.shapes import SetValuedTableau, TwoRowShape, enumerate_tableaux, is_valid
 
 
@@ -99,3 +101,11 @@ def test_empty_path_has_no_image():
     # tableaux need at least one entry, so length 0 is out of domain
     with pytest.raises(ValueError):
         path_to_tableau(decode_path("0:"))
+
+
+def test_tableau_weight_counts_match_path_weight_counts():
+    for n in range(1, 7):
+        for f in range(3):
+            for t in range(3):
+                assert tableau_weight_counts(n, f, t) == \
+                    weight_counts(n, f, t), (n, f, t)

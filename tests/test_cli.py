@@ -91,6 +91,21 @@ def test_count_contract_violations_exit_1(capsys):
         assert out == "", argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--which", "thm7", "--f", "0", "--t", "0", "--n", "2..4"],
+    ["table", "--which", "cor4", "--t", "-1", "--n", "2..4"],
+    ["table", "--which", "expected", "--t", "-1", "--n", "2..3"],
+    ["series", "--family", "straight", "--t", "5", "--order", "2"],
+    ["series", "--family", "skew", "--f", "2", "--t", "0", "--order", "1"],
+])
+def test_out_of_domain_values_exit_1_without_traceback(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_expected_values(capsys):
     assert run(capsys, "expected", "--n", "4", "--t", "0")[:2] == (0, "7/5\n")
     assert run(capsys, "expected", "--n", "3", "--t", "1")[:2] == (0, "2/3\n")

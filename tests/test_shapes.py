@@ -9,11 +9,14 @@ from svtab.shapes import (
     SetValuedTableau,
     TwoRowShape,
     cells,
+    count_by_rows,
     count_tableaux,
     enumerate_tableaux,
     from_json,
     is_valid,
     is_valid_quantified,
+    shape_counts,
+    shape_range,
     to_json,
 )
 
@@ -177,3 +180,13 @@ def test_from_json_rejects_wrong_coordinates():
     data["cells"][0]["col"] = 9
     with pytest.raises(ValueError):
         from_json(data)
+
+
+def test_shape_range_counts_and_row_split():
+    n, t = 6, 1
+    assert [s.e for s in shape_range(n, 0, t)] == [0, 1, 2]
+    assert [s.e for s in shape_range(n, 2, 0)] == [2, 3, 4]
+    by_e = shape_counts(n, 0, t)
+    assert by_e == {s.e: count_tableaux(s, n) for s in shape_range(n, 0, t)}
+    assert sum(count_by_rows(n, t, m) for m in range(n + 1)) == \
+        sum(by_e.values())

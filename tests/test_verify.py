@@ -1,9 +1,12 @@
 """Tests for the cross-checking harness."""
 
+import hashlib
 import json
 
 import pytest
 
+from svtab import verify
+from svtab.cli import main
 from svtab.paths import weight_counts
 from svtab.verify import (
     CheckReport,
@@ -186,3 +189,28 @@ def test_synthetic_undocumented_report_is_flagged():
                     tableau=7, path=7, series=7, formula=8,
                     status="disagree")
     assert not report_is_documented(r)
+
+
+def test_run_all_streams_reports_before_the_run_ends(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("identity check broke")
+
+    monkeypatch.setattr(verify, "check_identity_10_1", broken)
+    seen = []
+    with pytest.raises(RuntimeError):
+        run_all(2, sink=seen.append)
+    checks = {r.check for r in seen}
+    assert set(verify.THEOREM_IDS) <= checks
+    assert any(c.startswith("lemma") for c in checks)
+
+
+def test_report_bytes_are_pinned(tmp_path, capsys):
+    # max-n 9 reaches every cap edge: tableaux end at n = 8 (n = 9 for
+    # thm5), the refined families' paths end at n = 8, the rest at n = 9.
+    target = tmp_path / "report.json"
+    assert main(["verify", "--max-n", "9", "--report", str(target)]) == 0
+    capsys.readouterr()
+    data = target.read_bytes()
+    assert len(data) == 424472
+    assert hashlib.sha256(data).hexdigest() == (
+        "074943e70e4c35eb2e1215721235a7ea84b2847d27b66e1bfd965c6b363a7b18")
