@@ -31,6 +31,13 @@ class ContractViolation(Exception):
     """A flag combination or value outside a command's stated domain."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are contract violations too: exit 1 with one line."""
+
+    def error(self, message: str):
+        raise ContractViolation(message)
+
+
 def _order_cap() -> int:
     raw = os.environ.get("SVT_MAX_ORDER")
     if raw is None:
@@ -300,7 +307,7 @@ def _cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="svtab",
         description="Exact counts of two-rowed set-valued standard tableaux "
                     "and the matching coloured Motzkin paths.")
@@ -353,9 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ContractViolation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,14 +17,38 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from svtab.series import ALPHA, X, Y, ZSeries, solve_M
+from svtab.series import (ALPHA, X, Y, ZSeries, solve_M,
+                          substitution_cache)
+
+
+class Powers:
+    """The powers of one series; powers[k] is base**k.
+
+    The table grows on demand, each new entry one product from the last,
+    so every power up to the largest asked for is built once.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self, base: ZSeries):
+        self._table = [ZSeries.one(base.order), base]
+
+    def __getitem__(self, k: int) -> ZSeries:
+        if k < 0:
+            raise ValueError("negative series power")
+        table = self._table
+        while len(table) <= k:
+            table.append(table[-1] * table[1])
+        return table[k]
 
 
 class SeriesBlocks:
-    """Shared sub-expressions, built once per (order, substitution) pair.
+    """Shared sub-expressions for one (order, substitution) pair.
 
     The optional integer substitutions replace a variable everywhere,
-    which keeps coefficients small in specialized pipelines.
+    which keeps coefficients small in specialized pipelines.  The term
+    builders get them from series_blocks, so repeated calls with one
+    (order, substitution) share one object, power tables included.
     """
 
     def __init__(self, order: int, x_val: Optional[int] = None,
@@ -47,8 +71,23 @@ class SeriesBlocks:
                            + self.zm.scale(self.alpha_poly))
         self.y_plus_azm = (ZSeries.constant(self.y_poly, order)
                            + self.zm.scale(self.alpha_poly))
-        self.az2m2 = (self.zm * self.zm).scale(self.alpha_poly)
+        self.zm_pow = Powers(self.zm)
+        self.geom_x_pow = Powers(self.geom_x)
+        self.geom_y_pow = Powers(self.geom_y)
+        self.az2m2 = self.zm_pow[2].scale(self.alpha_poly)
         self.one_minus_az2m2 = self.one - self.az2m2
+
+
+# One entry: callers ask for the same (order, substitution) many times in
+# a row and seldom come back to an older one (verify --max-n 12 builds 12
+# blocks for 189 requests, 7 of them distinct), while an order-24 symbolic
+# set with its power tables holds about 1 MB.
+@substitution_cache(maxsize=1)
+def series_blocks(order: int, x_val: Optional[int] = None,
+                  y_val: Optional[int] = None,
+                  alpha_val: Optional[int] = None) -> SeriesBlocks:
+    """The SeriesBlocks of the last (order, substitution) asked for."""
+    return SeriesBlocks(order, x_val, y_val, alpha_val)
 
 
 def straight_terms(t: int, order: int, x_val: Optional[int] = None,
@@ -59,12 +98,12 @@ def straight_terms(t: int, order: int, x_val: Optional[int] = None,
         raise ValueError("t must be nonnegative")
     if order < t:
         raise ValueError(f"order {order} is below the valuation t={t}")
-    b = SeriesBlocks(order, x_val, y_val, alpha_val)
+    b = series_blocks(order, x_val, y_val, alpha_val)
     a = b.alpha_poly
-    term1 = b.geom_x ** t
-    term2 = (b.zm ** (t + 2)).scale(a).exact_divide(
+    term1 = b.geom_x_pow[t]
+    term2 = b.zm_pow[t + 2].scale(a).exact_divide(
         b.one_plus_yzm * b.one_plus_xzm)
-    term3 = (b.zm.scale(a) * (b.zm ** t - b.geom_x ** t)).exact_divide(
+    term3 = (b.zm.scale(a) * (b.zm_pow[t] - b.geom_x_pow[t])).exact_divide(
         b.y_plus_azm * b.one_plus_yzm)
     return term1, term2, term3
 
@@ -80,28 +119,29 @@ def skew_drop_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
         raise ValueError("need 0 <= t < f")
     if order < f - t:
         raise ValueError(f"order {order} is below the valuation f-t={f - t}")
-    b = SeriesBlocks(order, x_val, y_val, alpha_val)
+    b = series_blocks(order, x_val, y_val, alpha_val)
     a = b.alpha_poly
-    term1 = (b.geom_y.scale(a)) ** (f - t)
-    term2 = ((b.zm ** (t + 1)) * (b.zm ** f - b.geom_y ** f)).scale(
+    one_minus_az2m2_t = b.one - b.zm_pow[2 * t].scale(a ** t)
+    term1 = b.geom_y_pow[f - t].scale(a ** (f - t))
+    term2 = (b.zm_pow[t + 1] * (b.zm_pow[f] - b.geom_y_pow[f])).scale(
         a ** (f + 1)).exact_divide(b.one_plus_xzm * b.x_plus_azm)
     term3 = (b.zm.scale(a ** (f - t + 1))
-             * (b.zm ** (f - t) - b.geom_y ** (f - t))
-             * (b.one - b.az2m2 ** t)).exact_divide(
+             * (b.zm_pow[f - t] - b.geom_y_pow[f - t])
+             * one_minus_az2m2_t).exact_divide(
         b.x_plus_azm * b.one_minus_az2m2)
     ratio_y = b.zm.shift(1).scale(a) * b.inv_one_minus_yz  # alpha z^2 M/(1-yz)
-    term4 = ((b.geom_y.scale(a)) ** (f - t)
+    term4 = (term1
              * (b.one - ratio_y ** t)
-             * (b.zm * b.zm).scale(a)).exact_divide(
+             * b.az2m2).exact_divide(
         b.one_plus_xzm * b.one_minus_az2m2)
-    term5 = -((b.geom_y ** (f - t)).scale(a ** (f + 1))
-              * (b.zm ** t - b.geom_y ** t)
-              * (b.zm ** (t + 1))).exact_divide(
+    term5 = -(b.geom_y_pow[f - t].scale(a ** (f + 1))
+              * (b.zm_pow[t] - b.geom_y_pow[t])
+              * b.zm_pow[t + 1]).exact_divide(
         b.x_plus_azm * b.one_minus_az2m2)
-    term6 = (b.zm ** (f + t + 2)).scale(a ** (f + 1)).exact_divide(
+    term6 = b.zm_pow[f + t + 2].scale(a ** (f + 1)).exact_divide(
         b.one_plus_yzm * b.one_plus_xzm)
-    term7 = ((b.one - b.az2m2 ** t)
-             * (b.zm ** (f - t + 2)).scale(a ** (f - t + 1))).exact_divide(
+    term7 = (one_minus_az2m2_t
+             * b.zm_pow[f - t + 2].scale(a ** (f - t + 1))).exact_divide(
         b.one_minus_az2m2 * b.one_plus_yzm)
     return term1, term2, term3, term4, term5, term6, term7
 
@@ -114,19 +154,19 @@ def skew_rise_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
         raise ValueError("need 1 <= f <= t")
     if order < t - f:
         raise ValueError(f"order {order} is below the valuation t-f={t - f}")
-    b = SeriesBlocks(order, x_val, y_val, alpha_val)
+    b = series_blocks(order, x_val, y_val, alpha_val)
     a = b.alpha_poly
-    term1 = b.geom_x ** (t - f)
-    term2 = ((b.zm ** (t - f + 2)).scale(a)
-             - (b.zm ** (f + t + 2)).scale(a ** (f + 1))).exact_divide(
+    term1 = b.geom_x_pow[t - f]
+    term2 = (b.zm_pow[t - f + 2].scale(a)
+             - b.zm_pow[f + t + 2].scale(a ** (f + 1))).exact_divide(
         b.one_plus_xzm * b.one_minus_az2m2)
-    term3 = (b.zm ** (f + t + 2)).scale(a ** (f + 1)).exact_divide(
+    term3 = b.zm_pow[f + t + 2].scale(a ** (f + 1)).exact_divide(
         b.one_plus_yzm * b.one_plus_xzm)
     term4 = (b.zm.scale(a)
-             * (b.zm ** (t - f) - b.geom_x ** (t - f))).exact_divide(
+             * (b.zm_pow[t - f] - b.geom_x_pow[t - f])).exact_divide(
         b.y_plus_azm * b.one_plus_yzm)
-    term5 = ((b.zm ** (t - f + 2)).scale(a)
-             * (b.one - b.az2m2 ** f)).exact_divide(
+    term5 = (b.zm_pow[t - f + 2].scale(a)
+             * (b.one - b.zm_pow[2 * f].scale(a ** f))).exact_divide(
         b.one_plus_yzm * b.one_minus_az2m2)
     return term1, term2, term3, term4, term5
 

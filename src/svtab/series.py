@@ -8,14 +8,14 @@ division raises NonExactDivision, which in this package always means a
 generating-function expression was transcribed wrongly.
 
 The module also solves the functional equation for the height-0 weight
-series M(z) by plain fixed-point iteration and provides the Lagrange
+series M(z) in one pass over its coefficients and provides the Lagrange
 reversion self-check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterable, Optional
 
 
@@ -24,6 +24,22 @@ class NonExactDivision(ArithmeticError):
 
 
 _VAR_NAMES = ("x", "y", "alpha")
+
+
+def _power(base, k: int, one):
+    """base**k by binary powering, for k >= 0.
+
+    The first factor is taken as it is, not multiplied into one, and the
+    base is not squared again after the top bit of k.
+    """
+    result = None
+    while True:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if not k:
+            return one if result is None else result
+        base = base * base
 
 
 class MultiPoly:
@@ -128,14 +144,7 @@ class MultiPoly:
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, MultiPoly.const(1))
 
     def divexact(self, other: "MultiPoly") -> "MultiPoly":
         """Exact polynomial quotient, or NonExactDivision.
@@ -316,14 +325,7 @@ class ZSeries:
     def __pow__(self, k: int) -> "ZSeries":
         if k < 0:
             raise ValueError("negative series power")
-        result = ZSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, ZSeries.one(self.order))
 
     def scale(self, poly: MultiPoly | int) -> "ZSeries":
         if isinstance(poly, int):
@@ -419,23 +421,53 @@ class ZSeries:
         return f"ZSeries(order={self.order})"
 
 
-@lru_cache(maxsize=128)
+def substitution_cache(maxsize: int):
+    """lru_cache for f(order, x_val=None, y_val=None, alpha_val=None).
+
+    A plain lru_cache keys f(12) and f(12, None, None, None) apart and
+    builds the same value twice; this one passes every call on with all
+    four arguments positional, so each (order, substitution) has exactly
+    one entry.  cache_info and cache_clear are the lru_cache's.
+    """
+    def decorate(build):
+        cached = lru_cache(maxsize=maxsize)(build)
+
+        @wraps(build)
+        def lookup(order: int, x_val: Optional[int] = None,
+                   y_val: Optional[int] = None,
+                   alpha_val: Optional[int] = None):
+            return cached(order, x_val, y_val, alpha_val)
+        lookup.cache_info = cached.cache_info
+        lookup.cache_clear = cached.cache_clear
+        return lookup
+    return decorate
+
+
+@substitution_cache(maxsize=128)
 def solve_M(order: int, x_val: Optional[int] = None, y_val: Optional[int] = None,
             alpha_val: Optional[int] = None) -> ZSeries:
-    """Solve M = 1 + (x+y) z M + alpha z^2 M^2 by fixed-point iteration.
+    """Solve M = 1 + (x+y) z M + alpha z^2 M^2 coefficient by coefficient.
 
-    Starting from the constant series 1, each iteration fixes one more
-    coefficient, so `order` iterations settle the whole truncation.  The
+    Comparing coefficients of z^k gives M_0 = 1 and
+    M_k = (x+y) M_(k-1) + alpha * sum_(i+j=k-2) M_i M_j, which only uses
+    coefficients already known, so one pass settles the truncation.  The
+    convolution is symmetric and sums each unordered pair once.  The
     optional integer substitutions solve the specialized equation
     directly, which keeps the coefficients small.
     """
     xy = (X + Y).substitute(x=x_val, y=y_val)
     al = ALPHA.substitute(alpha=alpha_val)
-    one = ZSeries.one(order)
-    m = one
-    for _ in range(order):
-        m = one + m.shift(1).scale(xy) + (m * m).shift(2).scale(al)
-    return m
+    m = [ONE]
+    for k in range(1, order + 1):
+        s = k - 2
+        conv = ZERO
+        for i in range((s + 1) // 2):
+            conv = conv + m[i] * m[s - i]
+        conv = conv * 2
+        if s >= 0 and s % 2 == 0:
+            conv = conv + m[s // 2] * m[s // 2]
+        m.append(xy * m[k - 1] + al * conv)
+    return ZSeries(order, m)
 
 
 def solve_M0(order: int, x_val: Optional[int] = None, y_val: Optional[int] = None,

@@ -29,10 +29,10 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from svtab import bijection, formulas, paths, shapes
 from svtab.formulas import Convention
-from svtab.genfun import (SeriesBlocks, expected_downsteps_series, gf_skew,
-                          gf_straight, refined_coefficient, skew_drop_terms,
+from svtab.genfun import (expected_downsteps_series, gf_skew, gf_straight,
+                          refined_coefficient, series_blocks, skew_drop_terms,
                           skew_rise_terms, straight_terms)
-from svtab.series import NonExactDivision, ZSeries
+from svtab.series import ALPHA, NonExactDivision, ZSeries
 
 AGREE = "agree"
 DISAGREE = "disagree"
@@ -180,6 +180,11 @@ def _series(f: int, t: int, order: int, *subs: int) -> ZSeries:
     return gf_skew(f, t, order, *subs)
 
 
+@lru_cache(maxsize=None)
+def _expected_series(t: int, order: int) -> tuple[Optional[Fraction], ...]:
+    return expected_downsteps_series(t, order)
+
+
 # ---------------------------------------------------------------------------
 # theorem checks
 
@@ -304,7 +309,7 @@ _FAMILIES: dict[str, _Family] = {
         lambda n, t: _mean(_tableau_shape_counts(n, 0, t).items()),
         lambda n, t: _mean((e, v) for (_, _, e), v in
                            _path_counter(n, 0, t).items()),
-        lambda order, n, t: expected_downsteps_series(t, order)[n],
+        lambda order, n, t: _expected_series(t, order)[n],
         lambda n, t: formulas.expected_thm5(n, t),
         # PATH_BOUND, not TABLEAU_BOUND: a fix would change the report bytes.
         tableau_cap=PATH_BOUND, first_n=2),
@@ -540,14 +545,14 @@ def _rhs36(n: int, f: int, t: int) -> int:
 
 
 def _build24(f: int, t: int, order: int) -> ZSeries:
-    b = SeriesBlocks(order)
-    num = (b.zm ** (f + t + 2)).scale(b.alpha_poly ** (f + 1))
+    b = series_blocks(order)
+    num = b.zm_pow[f + t + 2].scale(b.alpha_poly ** (f + 1))
     return num.exact_divide(b.one_plus_yzm * b.one_plus_xzm)
 
 
 def _build33(f: int, t: int, order: int) -> ZSeries:
-    b = SeriesBlocks(order, 1, 1, 1)
-    return (b.zm ** (f + t + 2)).exact_divide(
+    b = series_blocks(order, 1, 1, 1)
+    return b.zm_pow[f + t + 2].exact_divide(
         b.one_plus_yzm * b.one_plus_xzm)
 
 
@@ -569,7 +574,7 @@ _AT_111 = {"x_val": 1, "y_val": 1, "alpha_val": 1}
 # sub-grid has no such key.
 _LEMMAS: dict[int, tuple] = {
     12: (True, _T_GRID,
-         lambda p, o: SeriesBlocks(o).geom_x ** p["t"], _rhs12),
+         lambda p, o: series_blocks(o).geom_x_pow[p["t"]], _rhs12),
     13: (True, _T_GRID,
          lambda p, o: straight_terms(p["t"], o)[1], _rhs13),
     14: (True, _T_GRID,
@@ -585,8 +590,8 @@ _LEMMAS: dict[int, tuple] = {
          lambda p, o: straight_terms(p["t"], o, x_val=1, y_val=1)[2]
          .alpha_derivative().substitute(alpha=1), _rhs18),
     19: (True, _F_GRID,
-         lambda p, o: (lambda b: b.geom_y.scale(b.alpha_poly) ** p["f"])(
-             SeriesBlocks(o)), _rhs19),
+         lambda p, o: series_blocks(o).geom_y_pow[p["f"]].scale(
+             ALPHA ** p["f"]), _rhs19),
     20: (True, _DROP_GRID,
          lambda p, o: skew_drop_terms(p["f"], p["t"], o)[1], _rhs20),
     21: (True, _DROP_GRID,

@@ -106,6 +106,27 @@ def test_out_of_domain_values_exit_1_without_traceback(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--which", "cor4", "--t", "0", "--n", "-3..2"],
+    ["count", "--family", "straight", "--n", "4"],
+    ["series", "--family", "straight", "--t", "0", "--order", "two"],
+    ["verify"],
+    [],
+])
+def test_usage_errors_exit_1_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--help"])
+    assert exc.value.code == 0
+    assert "--which" in capsys.readouterr().out
+
+
 def test_expected_values(capsys):
     assert run(capsys, "expected", "--n", "4", "--t", "0")[:2] == (0, "7/5\n")
     assert run(capsys, "expected", "--n", "3", "--t", "1")[:2] == (0, "2/3\n")

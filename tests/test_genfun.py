@@ -10,6 +10,7 @@ from svtab.genfun import (
     gf_skew,
     gf_straight,
     refined_coefficient,
+    series_blocks,
     skew_drop_terms,
     skew_rise_terms,
     straight_terms,
@@ -135,3 +136,19 @@ def test_blocks_internal_consistency():
     # the quadratic identity that pins m also links the shared blocks
     assert b.one_minus_az2m2 + b.az2m2 == b.one
     assert b.zm == b.m.shift(1)
+
+
+def test_blocks_power_tables_match_pow():
+    b = SeriesBlocks(6)
+    for k in (5, 0, 2, 7):
+        assert b.zm_pow[k] == b.zm ** k
+        assert b.geom_x_pow[k] == b.geom_x ** k
+        assert b.geom_y_pow[k] == b.geom_y ** k
+
+
+def test_series_blocks_are_shared():
+    b = series_blocks(6, 1, None, 2)
+    assert series_blocks(6, 1, None, 2) is b
+    assert series_blocks(6, x_val=1, alpha_val=2) is b
+    assert series_blocks(6) is series_blocks(6, None, None, None)
+    assert series_blocks(6) is not b

@@ -127,12 +127,49 @@ def test_exact_divide_rejects_lower_valuation():
 
 
 def test_solve_M_satisfies_its_equation():
-    order = 10
+    order = 30
     m = solve_M(order)
     one = ZSeries.one(order)
     rhs = one + m.shift(1).scale(X + Y) + (m * m).shift(2).scale(ALPHA)
     assert m == rhs
     assert m[0] == ONE
+
+
+def _fixed_point_M(order, x_val=None, y_val=None, alpha_val=None):
+    # Reference: `order` rounds of M <- 1 + (x+y) z M + alpha z^2 M^2 from
+    # M = 1; round k settles the z^k coefficient.
+    xy = (X + Y).substitute(x=x_val, y=y_val)
+    al = ALPHA.substitute(alpha=alpha_val)
+    one = ZSeries.one(order)
+    m = one
+    for _ in range(order):
+        m = one + m.shift(1).scale(xy) + (m * m).shift(2).scale(al)
+    return m
+
+
+@pytest.mark.parametrize("subs", [(), (1, 1, 1), (2, None, 3)])
+def test_solve_M_matches_the_fixed_point_reference(subs):
+    for order in range(17):
+        assert solve_M(order, *subs) == _fixed_point_M(order, *subs)
+
+
+def test_solve_M_has_one_cache_entry_per_truncation():
+    solve_M.cache_clear()
+    first = solve_M(9)
+    assert solve_M(9, None, None, None) is first
+    assert solve_M(9, x_val=None, alpha_val=None) is first
+    info = solve_M.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_pow_equals_repeated_products():
+    poly = X + Y * 2 - ALPHA
+    series = solve_M(5)
+    prod_p, prod_s = ONE, ZSeries.one(5)
+    for k in range(10):
+        assert poly ** k == prod_p
+        assert series ** k == prod_s
+        prod_p, prod_s = prod_p * poly, prod_s * series
 
 
 def test_solve_M_catalan_at_unit_values():
