@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Four subcommands: ``count`` (closed-form counts, optionally checked
+Five subcommands: ``count`` (closed-form counts, optionally checked
 against brute force), ``expected`` (mean second-row length), ``series``
 (coefficient dumps of the truncated generating functions), ``verify``
 (the full cross-check harness), and ``table`` (CSV export of the
@@ -19,8 +19,8 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from svtab import bijection, formulas, shapes, verify
-from svtab.genfun import (expected_downsteps_series, gf_skew, gf_straight)
+from svtab import bijection, formulas, verify
+from svtab.genfun import gf_skew, gf_straight
 
 DEFAULT_ORDER_CAP = 24
 
@@ -55,13 +55,9 @@ def _plain(value: Count) -> str:
     return str(int(value))
 
 
-def _json_count(value: Count) -> str:
+def _ratio(value: Count) -> str:
     v = Fraction(value)
     return f"{v.numerator}/{v.denominator}"
-
-
-def _fraction(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +106,13 @@ def _count_oracle(args, params: dict) -> int:
     if args.n > ORACLE_MAX_N:
         raise ContractViolation(
             f"--oracle enumerates tableaux and is capped at n <= {ORACLE_MAX_N}")
-    f = params.get("f", 0)
+    w = bijection.tableau_weight_counts(args.n, params.get("f", 0), args.t)
     if "c" in params:
-        return bijection.tableau_weight_counts(args.n, f, args.t)[
-            (args.c, args.d, args.e)]
+        return w[(args.c, args.d, args.e)]
     if "m" in params:
-        return shapes.count_by_rows(args.n, args.t, args.m)
-    return sum(shapes.shape_counts(args.n, f, args.t).values())
+        # straight shapes: c umber entries plus the minima of e + t cells
+        return sum(k for (c, _, e), k in w.items() if c + e + args.t == args.m)
+    return sum(w.values())
 
 
 def _emit_count(args, count: Count, params: dict,
@@ -131,9 +127,9 @@ def _emit_count(args, count: Count, params: dict,
             print("MATCH" if match else "MISMATCH")
     elif args.format == "json":
         payload = dict(params)
-        payload["count"] = _json_count(count)
+        payload["count"] = _ratio(count)
         if oracle is not None:
-            payload["oracle"] = _json_count(oracle)
+            payload["oracle"] = _ratio(oracle)
             payload["match"] = match
         print(json.dumps(payload))
     else:
@@ -166,7 +162,7 @@ def _cmd_expected(args) -> int:
     if value is None:
         print("no tableaux for these parameters", file=sys.stderr)
         return 1
-    print(_fraction(value))
+    print(_ratio(value))
     return 0
 
 

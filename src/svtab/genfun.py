@@ -15,6 +15,7 @@ mean number of down-steps among all paths counted by gf_straight.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from svtab.series import (ALPHA, X, Y, ZSeries, solve_M,
@@ -77,6 +78,32 @@ class SeriesBlocks:
         self.az2m2 = self.zm_pow[2].scale(self.alpha_poly)
         self.one_minus_az2m2 = self.one - self.az2m2
 
+    # The denominators the term builders divide by, each built on first use.
+
+    @cached_property
+    def den_yzm_xzm(self) -> ZSeries:
+        return self.one_plus_yzm * self.one_plus_xzm
+
+    @cached_property
+    def den_xazm_az2m2(self) -> ZSeries:
+        return self.x_plus_azm * self.one_minus_az2m2
+
+    @cached_property
+    def den_xzm_az2m2(self) -> ZSeries:
+        return self.one_plus_xzm * self.one_minus_az2m2
+
+    @cached_property
+    def den_yazm_yzm(self) -> ZSeries:
+        return self.y_plus_azm * self.one_plus_yzm
+
+    @cached_property
+    def den_yzm_az2m2(self) -> ZSeries:
+        return self.one_plus_yzm * self.one_minus_az2m2
+
+    @cached_property
+    def den_xzm_xazm(self) -> ZSeries:
+        return self.one_plus_xzm * self.x_plus_azm
+
 
 # One entry: callers ask for the same (order, substitution) many times in
 # a row and seldom come back to an older one (verify --max-n 12 builds 12
@@ -101,10 +128,9 @@ def straight_terms(t: int, order: int, x_val: Optional[int] = None,
     b = series_blocks(order, x_val, y_val, alpha_val)
     a = b.alpha_poly
     term1 = b.geom_x_pow[t]
-    term2 = b.zm_pow[t + 2].scale(a).exact_divide(
-        b.one_plus_yzm * b.one_plus_xzm)
+    term2 = b.zm_pow[t + 2].scale(a).exact_divide(b.den_yzm_xzm)
     term3 = (b.zm.scale(a) * (b.zm_pow[t] - b.geom_x_pow[t])).exact_divide(
-        b.y_plus_azm * b.one_plus_yzm)
+        b.den_yazm_yzm)
     return term1, term2, term3
 
 
@@ -124,25 +150,21 @@ def skew_drop_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
     one_minus_az2m2_t = b.one - b.zm_pow[2 * t].scale(a ** t)
     term1 = b.geom_y_pow[f - t].scale(a ** (f - t))
     term2 = (b.zm_pow[t + 1] * (b.zm_pow[f] - b.geom_y_pow[f])).scale(
-        a ** (f + 1)).exact_divide(b.one_plus_xzm * b.x_plus_azm)
+        a ** (f + 1)).exact_divide(b.den_xzm_xazm)
     term3 = (b.zm.scale(a ** (f - t + 1))
              * (b.zm_pow[f - t] - b.geom_y_pow[f - t])
-             * one_minus_az2m2_t).exact_divide(
-        b.x_plus_azm * b.one_minus_az2m2)
+             * one_minus_az2m2_t).exact_divide(b.den_xazm_az2m2)
     ratio_y = b.zm.shift(1).scale(a) * b.inv_one_minus_yz  # alpha z^2 M/(1-yz)
-    term4 = (term1
-             * (b.one - ratio_y ** t)
-             * b.az2m2).exact_divide(
-        b.one_plus_xzm * b.one_minus_az2m2)
+    term4 = (term1 * (b.one - ratio_y ** t) * b.az2m2).exact_divide(
+        b.den_xzm_az2m2)
     term5 = -(b.geom_y_pow[f - t].scale(a ** (f + 1))
               * (b.zm_pow[t] - b.geom_y_pow[t])
-              * b.zm_pow[t + 1]).exact_divide(
-        b.x_plus_azm * b.one_minus_az2m2)
+              * b.zm_pow[t + 1]).exact_divide(b.den_xazm_az2m2)
     term6 = b.zm_pow[f + t + 2].scale(a ** (f + 1)).exact_divide(
-        b.one_plus_yzm * b.one_plus_xzm)
+        b.den_yzm_xzm)
     term7 = (one_minus_az2m2_t
-             * b.zm_pow[f - t + 2].scale(a ** (f - t + 1))).exact_divide(
-        b.one_minus_az2m2 * b.one_plus_yzm)
+             * b.zm_pow[f - t + 2].scale(a ** (f - t + 1))
+             ).exact_divide(b.den_yzm_az2m2)
     return term1, term2, term3, term4, term5, term6, term7
 
 
@@ -158,16 +180,16 @@ def skew_rise_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
     a = b.alpha_poly
     term1 = b.geom_x_pow[t - f]
     term2 = (b.zm_pow[t - f + 2].scale(a)
-             - b.zm_pow[f + t + 2].scale(a ** (f + 1))).exact_divide(
-        b.one_plus_xzm * b.one_minus_az2m2)
+             - b.zm_pow[f + t + 2].scale(a ** (f + 1))
+             ).exact_divide(b.den_xzm_az2m2)
     term3 = b.zm_pow[f + t + 2].scale(a ** (f + 1)).exact_divide(
-        b.one_plus_yzm * b.one_plus_xzm)
+        b.den_yzm_xzm)
     term4 = (b.zm.scale(a)
-             * (b.zm_pow[t - f] - b.geom_x_pow[t - f])).exact_divide(
-        b.y_plus_azm * b.one_plus_yzm)
+             * (b.zm_pow[t - f] - b.geom_x_pow[t - f])
+             ).exact_divide(b.den_yazm_yzm)
     term5 = (b.zm_pow[t - f + 2].scale(a)
-             * (b.one - b.zm_pow[2 * f].scale(a ** f))).exact_divide(
-        b.one_plus_yzm * b.one_minus_az2m2)
+             * (b.one - b.zm_pow[2 * f].scale(a ** f))
+             ).exact_divide(b.den_yzm_az2m2)
     return term1, term2, term3, term4, term5
 
 

@@ -114,40 +114,44 @@ def enumerate_paths(n: int, f: int, t: int,
             yield ColouredPath(f, ())
         return
 
-    prefix: list[Step] = []
+    yield from _walk([], n, f, t, cde_filter, f, False, False, 0, 0, 0)
 
-    def walk(i: int, h: int, seen_up: bool, seen_down: bool,
-             c: int, d: int, e: int) -> Iterator[ColouredPath]:
-        if i == n:
-            if h == t and (cde_filter is None or (c, d, e) == cde_filter):
-                yield ColouredPath(f, tuple(prefix))
-            return
-        if abs(h - t) > n - i:
-            return
-        for s in _TAG_ORDER:
-            if s is Step.DOWN:
-                if h == 0:
-                    continue
-                args = (h - 1, seen_up, True, c, d, e + 1)
-            elif s is Step.UP:
-                args = (h + 1, True, seen_down, c, d, e)
-            elif s is Step.HOR_DENIM:
-                if not seen_down:
-                    continue
-                args = (h, seen_up, seen_down, c, d + 1, e)
-            else:
-                if not seen_up or h == 0:
-                    continue
-                args = (h, seen_up, seen_down, c + 1, d, e)
-            if cde_filter is not None:
-                nc, nd, ne = args[3], args[4], args[5]
-                if nc > cde_filter[0] or nd > cde_filter[1] or ne > cde_filter[2]:
-                    continue
-            prefix.append(s)
-            yield from walk(i + 1, *args)
-            prefix.pop()
 
-    yield from walk(0, f, False, False, 0, 0, 0)
+def _walk(prefix: list[Step], n: int, f: int, t: int,
+          cde_filter: Optional[tuple[int, int, int]], h: int, seen_up: bool,
+          seen_down: bool, c: int, d: int, e: int) -> Iterator[ColouredPath]:
+    # Extend prefix (at height h, weight c, d, e) in every admissible way.
+    # A module-level function, so no closure refers to itself and a call
+    # leaves no garbage cycle.
+    i = len(prefix)
+    if i == n:
+        if h == t and (cde_filter is None or (c, d, e) == cde_filter):
+            yield ColouredPath(f, tuple(prefix))
+        return
+    if abs(h - t) > n - i:
+        return
+    for s in _TAG_ORDER:
+        if s is Step.DOWN:
+            if h == 0:
+                continue
+            args = (h - 1, seen_up, True, c, d, e + 1)
+        elif s is Step.UP:
+            args = (h + 1, True, seen_down, c, d, e)
+        elif s is Step.HOR_DENIM:
+            if not seen_down:
+                continue
+            args = (h, seen_up, seen_down, c, d + 1, e)
+        else:
+            if not seen_up or h == 0:
+                continue
+            args = (h, seen_up, seen_down, c + 1, d, e)
+        if cde_filter is not None:
+            nc, nd, ne = args[3], args[4], args[5]
+            if nc > cde_filter[0] or nd > cde_filter[1] or ne > cde_filter[2]:
+                continue
+        prefix.append(s)
+        yield from _walk(prefix, n, f, t, cde_filter, *args)
+        prefix.pop()
 
 
 def count_paths(n: int, f: int, t: int,
@@ -187,22 +191,24 @@ def _closed_walk_weights(n: int, umber_on_axis: bool) -> Counter:
     # all two-coloured Motzkin paths of length n from height 0 back to 0,
     # optionally banning umber at height 0; no other constraints
     out: Counter = Counter()
-
-    def walk(i: int, h: int, c: int, d: int, e: int) -> None:
-        if n - i < h:
-            return
-        if i == n:
-            out[(c, d, e)] += 1
-            return
-        walk(i + 1, h + 1, c, d, e)
-        if h > 0:
-            walk(i + 1, h - 1, c, d, e + 1)
-        if umber_on_axis or h > 0:
-            walk(i + 1, h, c + 1, d, e)
-        walk(i + 1, h, c, d + 1, e)
-
-    walk(0, 0, 0, 0, 0)
+    _closed_walks(out, n, umber_on_axis, 0, 0, 0, 0, 0)
     return out
+
+
+def _closed_walks(out: Counter, n: int, umber_on_axis: bool,
+                  i: int, h: int, c: int, d: int, e: int) -> None:
+    # Module level, so no closure refers to itself (no garbage cycle).
+    if n - i < h:
+        return
+    if i == n:
+        out[(c, d, e)] += 1
+        return
+    _closed_walks(out, n, umber_on_axis, i + 1, h + 1, c, d, e)
+    if h > 0:
+        _closed_walks(out, n, umber_on_axis, i + 1, h - 1, c, d, e + 1)
+    if umber_on_axis or h > 0:
+        _closed_walks(out, n, umber_on_axis, i + 1, h, c + 1, d, e)
+    _closed_walks(out, n, umber_on_axis, i + 1, h, c, d + 1, e)
 
 
 def unconstrained_weight_counts(n: int) -> Counter:

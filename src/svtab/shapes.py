@@ -159,56 +159,54 @@ def enumerate_tableaux(shape: TwoRowShape, n: int,
     k = shape.cell_count
     if k == 0 or n < k:
         return
-    if row_filter is not None:
-        r1_target, r2_target = row_filter
-        if r1_target < 0 or r2_target < 0 or r1_target + r2_target != n:
-            return
-    else:
-        r1_target = r2_target = None
-
-    r1 = shape.row1_cells
+    if row_filter is not None and (min(row_filter) < 0
+                                   or sum(row_filter) != n):
+        return
     preds: list[list[int]] = [[] for _ in range(k)]
     succs: list[list[int]] = [[] for _ in range(k)]
     for i, j in _cover_pairs(shape):
         preds[j].append(i)
         succs[i].append(j)
+    yield from _place(1, n, shape, shape.row1_cells, preds, succs,
+                      [[] for _ in range(k)], [0, 0], row_filter)
 
-    assignment = [0] * n
-    contents: list[list[int]] = [[] for _ in range(k)]
-    row_counts = [0, 0]
 
-    def place(entry: int) -> Iterator[SetValuedTableau]:
-        empty = sum(1 for c in contents if not c)
-        remaining = n - entry + 1
-        for cell in range(k):
-            opened = bool(contents[cell])
-            # a cell stops accepting entries once any later cell has opened
-            if any(contents[s] for s in succs[cell]):
-                continue
-            if not opened and any(not contents[p] for p in preds[cell]):
-                continue
-            empty_after = empty - (0 if opened else 1)
-            if remaining - 1 < empty_after:
-                continue
-            row = 0 if cell < r1 else 1
-            if r1_target is not None:
-                target = r1_target if row == 0 else r2_target
-                if row_counts[row] + 1 > target:
-                    continue
-            contents[cell].append(entry)
-            row_counts[row] += 1
-            assignment[entry - 1] = cell
-            if entry == n:
-                if empty_after == 0 and (
-                        r1_target is None or row_counts[0] == r1_target):
-                    yield SetValuedTableau(
-                        shape, tuple(frozenset(c) for c in contents), n)
-            else:
-                yield from place(entry + 1)
-            contents[cell].pop()
-            row_counts[row] -= 1
-
-    yield from place(1)
+def _place(entry: int, n: int, shape: TwoRowShape, r1: int,
+           preds: list[list[int]], succs: list[list[int]],
+           contents: list[list[int]], row_counts: list[int],
+           row_filter: Optional[tuple[int, int]]
+           ) -> Iterator[SetValuedTableau]:
+    # Place entry..n into the partial filling contents, one list per cell,
+    # undoing each placement after its subtree.  A module-level function,
+    # so no closure refers to itself and a call leaves no garbage cycle.
+    # Cells below r1 are in the first row.
+    empty = sum(1 for c in contents if not c)
+    remaining = n - entry + 1
+    for cell in range(len(contents)):
+        opened = bool(contents[cell])
+        # a cell stops accepting entries once any later cell has opened
+        if any(contents[s] for s in succs[cell]):
+            continue
+        if not opened and any(not contents[p] for p in preds[cell]):
+            continue
+        empty_after = empty - (0 if opened else 1)
+        if remaining - 1 < empty_after:
+            continue
+        row = 0 if cell < r1 else 1
+        if row_filter is not None and row_counts[row] + 1 > row_filter[row]:
+            continue
+        contents[cell].append(entry)
+        row_counts[row] += 1
+        if entry == n:
+            if empty_after == 0 and (
+                    row_filter is None or row_counts[0] == row_filter[0]):
+                yield SetValuedTableau(
+                    shape, tuple(frozenset(c) for c in contents), n)
+        else:
+            yield from _place(entry + 1, n, shape, r1, preds, succs,
+                              contents, row_counts, row_filter)
+        contents[cell].pop()
+        row_counts[row] -= 1
 
 
 def count_tableaux(shape: TwoRowShape, n: int,
@@ -221,39 +219,3 @@ def shape_range(n: int, f: int, t: int) -> Iterator[TwoRowShape]:
     for e in range(max(0, f - t), (n + f - t) // 2 + 1):
         if 2 * e + t - f >= 1:
             yield TwoRowShape(e, t, f)
-
-
-def shape_counts(n: int, f: int, t: int) -> dict[int, int]:
-    """Tableau counts over shape_range, keyed by the second-row length e."""
-    return {shape.e: count_tableaux(shape, n)
-            for shape in shape_range(n, f, t)}
-
-
-def count_by_rows(n: int, t: int, m: int) -> int:
-    """Straight-shape tableaux of excess t with m of the n entries in row 1."""
-    return sum(count_tableaux(shape, n, row_filter=(m, n - m))
-               for shape in shape_range(n, 0, t))
-
-
-def to_json(tab: SetValuedTableau) -> dict:
-    coords = cells(tab.shape)
-    return {
-        "e": tab.shape.e,
-        "t": tab.shape.t,
-        "f": tab.shape.f,
-        "n": tab.n,
-        "cells": [
-            {"row": r, "col": c, "entries": sorted(s)}
-            for (r, c), s in zip(coords, tab.content)
-        ],
-    }
-
-
-def from_json(data: dict) -> SetValuedTableau:
-    shape = TwoRowShape(e=data["e"], t=data["t"], f=data["f"])
-    coords = cells(shape)
-    by_coord = {(c["row"], c["col"]): frozenset(c["entries"]) for c in data["cells"]}
-    if set(by_coord) != set(coords):
-        raise ValueError("cell coordinates do not match the shape")
-    content = tuple(by_coord[rc] for rc in coords)
-    return SetValuedTableau(shape, content, data["n"])

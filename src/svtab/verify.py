@@ -27,10 +27,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from svtab import bijection, formulas, paths, shapes
+from svtab import bijection, formulas, paths
 from svtab.formulas import Convention
-from svtab.genfun import (expected_downsteps_series, gf_skew, gf_straight,
-                          refined_coefficient, series_blocks, skew_drop_terms,
+from svtab.genfun import (gf_skew, gf_straight, series_blocks, skew_drop_terms,
                           skew_rise_terms, straight_terms)
 from svtab.series import ALPHA, NonExactDivision, ZSeries
 
@@ -155,7 +154,10 @@ def feasible_weights(n: int, f: int, t: int) -> list[tuple[int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# cached oracle and series layers
+# weight maps: every layer but the closed form counts by (c, d, e)
+
+Weights = dict[tuple[int, int, int], int]
+
 
 @lru_cache(maxsize=None)
 def _path_counter(n: int, f: int, t: int) -> Counter:
@@ -168,21 +170,10 @@ def _tableau_counter(n: int, f: int, t: int) -> Counter:
 
 
 @lru_cache(maxsize=None)
-def _tableau_shape_counts(n: int, f: int, t: int) -> dict[int, int]:
-    return shapes.shape_counts(n, f, t)
-
-
-@lru_cache(maxsize=None)
-def _series(f: int, t: int, order: int, *subs: int) -> ZSeries:
-    # subs are integer values substituted for x, y, alpha, in that order.
+def _series(f: int, t: int, order: int) -> ZSeries:
     if f == 0:
-        return gf_straight(t, order, *subs)
-    return gf_skew(f, t, order, *subs)
-
-
-@lru_cache(maxsize=None)
-def _expected_series(t: int, order: int) -> tuple[Optional[Fraction], ...]:
-    return expected_downsteps_series(t, order)
+        return gf_straight(t, order)
+    return gf_skew(f, t, order)
 
 
 # ---------------------------------------------------------------------------
@@ -219,54 +210,52 @@ def _weights(n: int, fs: Iterable[int]) -> Iterator[dict]:
             yield dict(p, c=c, d=d, e=e)
 
 
-def _mean(pairs: Iterable[tuple[int, int]]) -> Optional[Fraction]:
-    # Mean of e over (e, count) pairs; None when nothing is counted.
-    pairs = list(pairs)
-    total = sum(k for _, k in pairs)
-    return Fraction(sum(e * k for e, k in pairs), total) if total else None
+def _refined(w: Weights, c: int, d: int, e: int, **_) -> int:
+    return w.get((c, d, e), 0)
 
 
-def _weight_tableaux(n: int, t: int, c: int, d: int, e: int,
-                     f: int = 0) -> int:
-    return _tableau_counter(n, f, t)[(c, d, e)]
+def _total(w: Weights, **_) -> int:
+    return sum(w.values())
 
 
-def _weight_paths(n: int, t: int, c: int, d: int, e: int, f: int = 0) -> int:
-    return _path_counter(n, f, t)[(c, d, e)]
+def _second_row(w: Weights, e: int, **_) -> int:
+    return sum(k for (_, _, ee), k in w.items() if ee == e)
 
 
-def _weight_series(order: int, n: int, t: int, c: int, d: int, e: int,
-                   f: int = 0) -> int:
-    return refined_coefficient(_series(f, t, order), n, c, d, e)
+def _first_row(w: Weights, t: int, m: int, **_) -> int:
+    # Straight shapes: the first row holds c umber entries plus the
+    # minima of its e + t cells.
+    return sum(k for (c, _, e), k in w.items() if c + e + t == m)
 
 
-def _total_tableaux(n: int, t: int, f: int = 0) -> int:
-    return sum(_tableau_shape_counts(n, f, t).values())
+def _mean_second_row(w: Weights, **_) -> Optional[Fraction]:
+    # None when nothing is counted.
+    total = sum(w.values())
+    if not total:
+        return None
+    return Fraction(sum(e * k for (_, _, e), k in w.items()), total)
 
 
-def _total_paths(n: int, t: int, f: int = 0) -> int:
-    return sum(_path_counter(n, f, t).values())
-
-
-def _total_series(order: int, n: int, t: int, f: int = 0) -> int:
-    return _series(f, t, order, 1, 1, 1)[n].constant_value()
+def _frame(params: dict) -> tuple[int, int]:
+    return params.get("f", 0), params["t"]
 
 
 @dataclass(frozen=True)
 class _Family:
-    """One theorem family: its grid, its four layers and its caps.
+    """One theorem family: its grid, its projection, its formula, its caps.
 
-    grid(n) yields the report params at length n in canonical order.
-    Each layer is called with those params as keyword arguments, the
-    series layer with the series order before them.  The series and
-    formula layers run for n <= top, the oracles up to their own caps.
+    grid(n) yields the report params at length n in canonical order and
+    frame(params) the (f, t) they count in.  The tableau, path and series
+    layers each give the (c, d, e) weight map of that frame at length n;
+    project(w, **params) reads the family's statistic off any of them.
+    The formula is called with the params.  The series and formula
+    layers run for n <= top, the oracles up to their own caps.
     """
 
     grid: Callable[[int], Iterable[dict]]
-    tableau: Callable[..., Value]
-    path: Callable[..., Value]
-    series: Callable[..., Value]
+    project: Callable[..., Value]
     formula: Callable[..., Value]
+    frame: Callable[[dict], tuple[int, int]] = _frame
     top: int = PATH_BOUND
     tableau_cap: int = TABLEAU_BOUND
     path_cap: int = PATH_BOUND
@@ -276,59 +265,38 @@ class _Family:
 _FAMILIES: dict[str, _Family] = {
     # The refined families gate their path layer on TABLEAU_BOUND.
     "thm1": _Family(
-        lambda n: _weights(n, (0,)),
-        _weight_tableaux, _weight_paths, _weight_series,
+        lambda n: _weights(n, (0,)), _refined,
         lambda n, t, c, d, e: formulas.count_thm1(n, t, c, d, e),
         top=SERIES_BOUND, path_cap=TABLEAU_BOUND),
     "cor2": _Family(
         lambda n: ({"n": n, "t": t, "e": e} for t in range(MAX_T + 1)
-                   for e in range((n - t) // 2 + 1)),
-        lambda n, t, e: _tableau_shape_counts(n, 0, t).get(e, 0),
-        lambda n, t, e: sum(v for (_, _, ee), v in
-                            _path_counter(n, 0, t).items() if ee == e),
-        lambda order, n, t, e:
-            _series(0, t, order, 1, 1)[n].terms.get((0, 0, e), 0),
+                   for e in range((n - t) // 2 + 1)), _second_row,
         lambda n, t, e: formulas.count_cor2(n, t, e)),
     "cor3": _Family(
         lambda n: ({"n": n, "t": t, "m": m} for t in range(MAX_T + 1)
-                   for m in range(n + 1)),
-        lambda n, t, m: shapes.count_by_rows(n, t, m),
-        lambda n, t, m: sum(v for (c, _, e), v in
-                            _path_counter(n, 0, t).items() if c + e + t == m),
-        lambda order, n, t, m: sum(
-            refined_coefficient(_series(0, t, order), n, c, d, e)
-            for c, d, e in feasible_weights(n, 0, t) if c + e + t == m),
+                   for m in range(n + 1)), _first_row,
         # n = 1 is outside the closed form's stated domain (ValueError).
         lambda n, t, m: formulas.count_cor3(n, t, m)),
     "cor4": _Family(
-        lambda n: _frames(n, (0,)),
-        _total_tableaux, _total_paths, _total_series,
+        lambda n: _frames(n, (0,)), _total,
         lambda n, t: formulas.count_cor4(n, t)),
     "thm5": _Family(
-        lambda n: _frames(n, (0,)),
-        lambda n, t: _mean(_tableau_shape_counts(n, 0, t).items()),
-        lambda n, t: _mean((e, v) for (_, _, e), v in
-                           _path_counter(n, 0, t).items()),
-        lambda order, n, t: _expected_series(t, order)[n],
+        lambda n: _frames(n, (0,)), _mean_second_row,
         lambda n, t: formulas.expected_thm5(n, t),
         # PATH_BOUND, not TABLEAU_BOUND: a fix would change the report bytes.
         tableau_cap=PATH_BOUND, first_n=2),
     "thm6": _Family(
-        lambda n: _weights(n, range(1, MAX_F + 1)),
-        _weight_tableaux, _weight_paths, _weight_series,
+        lambda n: _weights(n, range(1, MAX_F + 1)), _refined,
         lambda n, f, t, c, d, e: formulas.count_thm6(n, f, t, c, d, e),
         top=SERIES_BOUND, path_cap=TABLEAU_BOUND),
     "thm7": _Family(
-        lambda n: _frames(n, range(1, MAX_F + 1)),
-        _total_tableaux, _total_paths, _total_series,
+        lambda n: _frames(n, range(1, MAX_F + 1)), _total,
         lambda n, f, t: formulas.count_thm7(n, f, t)),
     # The remark's f = t frame, against oracles and series.
     "remark_1_10": _Family(
-        lambda n: ({"n": n, "t": t} for t in range(1, MAX_T + 1)),
-        lambda n, t: _total_tableaux(n, t, f=t),
-        lambda n, t: _total_paths(n, t, f=t),
-        lambda order, n, t: _total_series(order, n, t, f=t),
-        lambda n, t: formulas.remark_1_10(n, t)),
+        lambda n: ({"n": n, "t": t} for t in range(1, MAX_T + 1)), _total,
+        lambda n, t: formulas.remark_1_10(n, t),
+        frame=lambda p: (p["t"], p["t"])),
 }
 
 THEOREM_IDS = tuple(_FAMILIES)
@@ -340,22 +308,26 @@ def check_theorem(check: str, max_n: int) -> list[CheckReport]:
     Series and closed forms run to min(max_n, 12) for thm1 and thm6 and
     to min(max_n, 9) for every other family.  Tableaux stop at n <= 8
     (n <= 9 for thm5), paths at n <= 9 (n <= 8 for thm1 and thm6); a
-    layer beyond its cap appears as None.  A ValueError from the closed
-    form marks the point formula-domain-excluded.  Reports come back in
-    canonical sorted order.
+    layer beyond its cap appears as None.  The series layer reads one
+    series per frame at order max(min(max_n, 12), 3) for every family;
+    a coefficient below the truncation does not depend on the order.  A
+    ValueError from the closed form marks the point
+    formula-domain-excluded.  Reports come back in canonical sorted order.
     """
     if check not in _FAMILIES:
         raise ValueError(f"unknown check id {check!r}")
     fam = _FAMILIES[check]
-    top = min(max_n, fam.top)
-    order = _series_order(top)
+    order = _series_order(min(max_n, SERIES_BOUND))
     reports = []
-    for n in range(fam.first_n, top + 1):
+    for n in range(fam.first_n, min(max_n, fam.top) + 1):
         for params in fam.grid(n):
             started = time.perf_counter()
-            tab = fam.tableau(**params) if n <= fam.tableau_cap else None
-            path = fam.path(**params) if n <= fam.path_cap else None
-            ser = fam.series(order, **params)
+            f, t = fam.frame(params)
+            maps = (_tableau_counter(n, f, t) if n <= fam.tableau_cap else None,
+                    _path_counter(n, f, t) if n <= fam.path_cap else None,
+                    _series(f, t, order)[n].terms)
+            tab, path, ser = (None if w is None else fam.project(w, **params)
+                              for w in maps)
             try:
                 form = fam.formula(**params)
             except ValueError:
@@ -547,13 +519,12 @@ def _rhs36(n: int, f: int, t: int) -> int:
 def _build24(f: int, t: int, order: int) -> ZSeries:
     b = series_blocks(order)
     num = b.zm_pow[f + t + 2].scale(b.alpha_poly ** (f + 1))
-    return num.exact_divide(b.one_plus_yzm * b.one_plus_xzm)
+    return num.exact_divide(b.den_yzm_xzm)
 
 
 def _build33(f: int, t: int, order: int) -> ZSeries:
     b = series_blocks(order, 1, 1, 1)
-    return b.zm_pow[f + t + 2].exact_divide(
-        b.one_plus_yzm * b.one_plus_xzm)
+    return b.zm_pow[f + t + 2].exact_divide(b.den_yzm_xzm)
 
 
 _T_GRID = tuple({"t": t} for t in range(MAX_T + 1))

@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
+import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svtab.cli import main
 
@@ -261,3 +265,70 @@ def test_outputs_are_deterministic(capsys):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the exit-code contract
+
+_INT = st.integers(-1, 9)
+_SMALL = st.integers(-1, 4)
+_RATIONAL = st.sampled_from(["0", "1", "-2", "3", "1/2", "-3/4", "1/0", "x"])
+_RANGE = st.one_of(st.tuples(_INT, _INT).map(lambda r: f"{r[0]}..{r[1]}"),
+                   _INT.map(str), st.sampled_from(["", "..", "1..2..3", "a"]))
+
+
+def _flag(name, values):
+    return values.map(lambda v: [name, str(v)])
+
+
+def _maybe(name, values):
+    return st.one_of(st.just([]), _flag(name, values))
+
+
+def _args(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+_FAMILY = _flag("--family", st.sampled_from(["straight", "skew"]))
+_COMMANDS = {
+    "count": _args(
+        _FAMILY, _flag("--n", _INT), _flag("--t", _SMALL),
+        _maybe("--f", _SMALL), _maybe("--m", _INT),
+        st.one_of(st.just([]), _args(_flag("--c", _SMALL),
+                                     _flag("--d", _SMALL),
+                                     _flag("--e", _SMALL))),
+        _maybe("--format", st.sampled_from(["plain", "csv", "json"])),
+        st.sampled_from([[], ["--oracle"]])),
+    "expected": _args(_flag("--n", _INT), _flag("--t", _INT)),
+    "series": _args(
+        _FAMILY, _flag("--t", _SMALL), _maybe("--f", _SMALL),
+        _flag("--order", st.integers(-1, 6)), _maybe("--x", _RATIONAL),
+        _maybe("--y", _RATIONAL), _maybe("--alpha", _RATIONAL)),
+    # os.devnull accepts the report; a path below it cannot be created.
+    "verify": _args(
+        _flag("--max-n", st.integers(-1, 1)),
+        _maybe("--report", st.sampled_from(
+            [os.devnull, os.path.join(os.devnull, "report.json")]))),
+    "table": _args(
+        _flag("--which", st.sampled_from(["cor4", "thm7", "expected"])),
+        _flag("--t", _INT), _maybe("--f", _INT), _flag("--n", _RANGE)),
+}
+_ARGV = st.sampled_from(sorted(_COMMANDS)).flatmap(
+    lambda cmd: _COMMANDS[cmd].map(lambda rest: [cmd] + rest))
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARGV)
+def test_fuzzed_arguments_keep_the_exit_code_contract(argv):
+    code, out, err = _call(argv)
+    assert "Traceback" not in out + err
+    assert code in (0, 1, 2, 3)
+    assert err.count("\n") <= 1
+    assert _call(argv)[1] == out

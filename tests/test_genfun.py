@@ -51,15 +51,20 @@ def test_skew_rise_series_matches_paths():
             assert series_terms(series, n) == oracle_poly_terms(n, f, t), (f, t, n)
 
 
+def _gf(f, t, order, *subs):
+    return gf_skew(f, t, order, *subs) if f else gf_straight(t, order, *subs)
+
+
 def test_specialized_build_agrees_with_symbolic():
-    for (f, t) in [(0, 0), (0, 2), (1, 1), (2, 1)]:
-        if f == 0:
-            sym = gf_straight(t, ORDER).substitute(x=1, y=1, alpha=1)
-            num = gf_straight(t, ORDER, x_val=1, y_val=1, alpha_val=1)
-        else:
-            sym = gf_skew(f, t, ORDER).substitute(x=1, y=1, alpha=1)
-            num = gf_skew(f, t, ORDER, x_val=1, y_val=1, alpha_val=1)
-        assert sym == num
+    # Every harness frame at x = y = 1, with and without alpha = 1; the
+    # harness reads only the symbolic series, so this keeps the
+    # specialized pipeline checked against it.
+    for f in range(4):
+        for t in range(4):
+            sym = _gf(f, t, 9)
+            for alpha in (1, None):
+                assert sym.substitute(x=1, y=1, alpha=alpha) == \
+                    _gf(f, t, 9, 1, 1, alpha), (f, t, alpha)
 
 
 def test_total_counts_at_unit_values():

@@ -1,23 +1,21 @@
 """Tests for the tableau oracle: shapes, validity, enumeration."""
 
-import json
+import gc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svtab.bijection import tableau_weight_counts
+from svtab.paths import enumerate_paths, unconstrained_weight_counts
 from svtab.shapes import (
     SetValuedTableau,
     TwoRowShape,
     cells,
-    count_by_rows,
     count_tableaux,
     enumerate_tableaux,
-    from_json,
     is_valid,
     is_valid_quantified,
-    shape_counts,
     shape_range,
-    to_json,
 )
 
 # Singleton fillings of the straight shape (e, e) are counted by the
@@ -164,29 +162,48 @@ def test_enumeration_is_deterministic():
     assert a == b
 
 
-def test_json_round_trip():
-    shape = TwoRowShape(e=2, t=1, f=1)
-    for tab in enumerate_tableaux(shape, 6):
-        data = to_json(tab)
-        json.dumps(data)  # must be serializable as-is
-        back = from_json(data)
-        assert back == tab
-
-
-def test_from_json_rejects_wrong_coordinates():
-    shape = TwoRowShape(e=1, t=0)
-    tab = SetValuedTableau(shape, (frozenset({1}), frozenset({2})), 2)
-    data = to_json(tab)
-    data["cells"][0]["col"] = 9
-    with pytest.raises(ValueError):
-        from_json(data)
-
-
 def test_shape_range_counts_and_row_split():
-    n, t = 6, 1
-    assert [s.e for s in shape_range(n, 0, t)] == [0, 1, 2]
-    assert [s.e for s in shape_range(n, 2, 0)] == [2, 3, 4]
-    by_e = shape_counts(n, 0, t)
-    assert by_e == {s.e: count_tableaux(s, n) for s in shape_range(n, 0, t)}
-    assert sum(count_by_rows(n, t, m) for m in range(n + 1)) == \
-        sum(by_e.values())
+    assert [s.e for s in shape_range(6, 0, 1)] == [0, 1, 2]
+    assert [s.e for s in shape_range(6, 2, 0)] == [2, 3, 4]
+    # The weight map's e-marginal counts each shape, and its first-row
+    # marginal (c umber entries plus the minima of e + t - f cells)
+    # counts each row split.
+    for n in range(1, 8):
+        for f in range(4):
+            for t in range(4):
+                w = tableau_weight_counts(n, f, t)
+                for shape in shape_range(n, f, t):
+                    assert sum(k for (_, _, e), k in w.items()
+                               if e == shape.e) == \
+                        count_tableaux(shape, n), (n, shape)
+                for m in range(n + 1):
+                    assert sum(k for (c, _, e), k in w.items()
+                               if c + e + t - f == m) == \
+                        sum(count_tableaux(shape, n, row_filter=(m, n - m))
+                            for shape in shape_range(n, f, t)), (n, f, t, m)
+
+
+def _drain_early(stream):
+    next(stream)
+    stream.close()
+
+
+@pytest.mark.parametrize("run", [
+    lambda: list(enumerate_tableaux(TwoRowShape(2, 1, 0), 6)),
+    lambda: list(enumerate_tableaux(TwoRowShape(2, 1, 1), 6,
+                                    row_filter=(3, 3))),
+    lambda: _drain_early(enumerate_tableaux(TwoRowShape(2, 1, 0), 6)),
+    lambda: list(enumerate_paths(5, 0, 1)),
+    lambda: list(enumerate_paths(5, 1, 0, cde_filter=(2, 0, 2))),
+    lambda: _drain_early(enumerate_paths(5, 0, 1)),
+    lambda: unconstrained_weight_counts(4),
+], ids=["tableaux", "tableaux-row-filter", "tableaux-closed-early", "paths",
+        "paths-cde-filter", "paths-closed-early", "closed-walks"])
+def test_enumerators_leave_no_garbage_cycles(run):
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
