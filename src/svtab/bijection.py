@@ -16,23 +16,21 @@ from svtab.paths import ColouredPath, Step, is_admissible, weight
 from svtab.shapes import (SetValuedTableau, TwoRowShape, enumerate_tableaux,
                           is_valid, shape_range)
 
+# (minimum, every other entry) of a row-1 and of a row-2 cell
+_ROW_STEPS = ((Step.UP, Step.HOR_UMBER), (Step.DOWN, Step.HOR_DENIM))
+
 
 def tableau_to_path(tab: SetValuedTableau) -> ColouredPath:
     if not is_valid(tab):
         raise ValueError("tableau violates the ordering condition")
     r1 = tab.shape.row1_cells
-    cell_of = {}
+    # every slot is overwritten: the cells partition 1..n (checked above)
+    steps: list[Step] = [Step.UP] * tab.n
     for idx, s in enumerate(tab.content):
+        opener, other = _ROW_STEPS[idx >= r1]
         for entry in s:
-            cell_of[entry] = idx
-    steps = []
-    for i in range(1, tab.n + 1):
-        idx = cell_of[i]
-        row1 = idx < r1
-        if i == min(tab.content[idx]):
-            steps.append(Step.UP if row1 else Step.DOWN)
-        else:
-            steps.append(Step.HOR_UMBER if row1 else Step.HOR_DENIM)
+            steps[entry - 1] = other
+        steps[min(s) - 1] = opener
     return ColouredPath(tab.shape.f, tuple(steps))
 
 

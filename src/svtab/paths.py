@@ -25,18 +25,6 @@ class Step(Enum):
     HOR_UMBER = "u"
     HOR_DENIM = "d"
 
-    @property
-    def rise(self) -> int:
-        if self is Step.UP:
-            return 1
-        if self is Step.DOWN:
-            return -1
-        return 0
-
-
-# enumeration tries step tags in lexicographic order: D < U < d < u
-_TAG_ORDER = tuple(sorted(Step, key=lambda s: s.value))
-
 
 @dataclass(frozen=True)
 class ColouredPath:
@@ -51,33 +39,55 @@ class ColouredPath:
 
     @property
     def end_height(self) -> int:
-        return self.start_height + sum(s.rise for s in self.steps)
+        return (self.start_height + self.steps.count(Step.UP)
+                - self.steps.count(Step.DOWN))
 
     def __len__(self) -> int:
         return len(self.steps)
 
 
+def _step_table(umber_on_axis: bool) -> dict:
+    # The step rules, once: for each state (h > 0, seen_up, seen_down),
+    # the allowed moves in tag order D < U < d < u, each a tuple
+    # (step, rise, seen_up after, seen_down after, dc, dd, de).
+    table = {}
+    for above in (False, True):
+        for seen_up in (False, True):
+            for seen_down in (False, True):
+                moves = []
+                if above:
+                    moves.append((Step.DOWN, -1, seen_up, True, 0, 0, 1))
+                moves.append((Step.UP, 1, True, seen_down, 0, 0, 0))
+                if seen_down:
+                    moves.append((Step.HOR_DENIM, 0, seen_up, True, 0, 1, 0))
+                if seen_up and (above or umber_on_axis):
+                    moves.append((Step.HOR_UMBER, 0, True, seen_down, 1, 0, 0))
+                table[above, seen_up, seen_down] = tuple(moves)
+    return table
+
+
+# admissible paths: no umber on the axis
+_STEPS = _step_table(umber_on_axis=False)
+# closed walks with umber allowed on the axis (colour gates left open)
+_FREE_STEPS = _step_table(umber_on_axis=True)
+
+
 def is_admissible(path: ColouredPath) -> bool:
     """Nonnegativity plus the three colour constraints of the bijection."""
     h = path.start_height
-    seen_up = False
-    seen_down = False
+    seen_up = seen_down = False
     for s in path.steps:
-        if s is Step.UP:
-            h += 1
-            seen_up = True
-        elif s is Step.DOWN:
-            h -= 1
-            if h < 0:
-                return False
-            seen_down = True
-        elif s is Step.HOR_UMBER:
-            if not seen_up or h == 0:
-                return False
+        for move in _STEPS[h > 0, seen_up, seen_down]:
+            if move[0] is s:
+                break
         else:
-            if not seen_down:
-                return False
+            return False
+        _, rise, seen_up, seen_down = move[:4]
+        h += rise
     return True
+
+
+_WEIGHT_STEPS = (Step.HOR_UMBER, Step.HOR_DENIM, Step.DOWN)
 
 
 def weight(path: ColouredPath) -> tuple[int, int, int]:
@@ -85,15 +95,7 @@ def weight(path: ColouredPath) -> tuple[int, int, int]:
 
     Defined for any path, admissible or not.
     """
-    c = d = e = 0
-    for s in path.steps:
-        if s is Step.HOR_UMBER:
-            c += 1
-        elif s is Step.HOR_DENIM:
-            d += 1
-        elif s is Step.DOWN:
-            e += 1
-    return c, d, e
+    return tuple(map(path.steps.count, _WEIGHT_STEPS))
 
 
 def enumerate_paths(n: int, f: int, t: int,
@@ -120,38 +122,24 @@ def enumerate_paths(n: int, f: int, t: int,
 def _walk(prefix: list[Step], n: int, f: int, t: int,
           cde_filter: Optional[tuple[int, int, int]], h: int, seen_up: bool,
           seen_down: bool, c: int, d: int, e: int) -> Iterator[ColouredPath]:
-    # Extend prefix (at height h, weight c, d, e) in every admissible way.
-    # A module-level function, so no closure refers to itself and a call
-    # leaves no garbage cycle.
-    i = len(prefix)
-    if i == n:
-        if h == t and (cde_filter is None or (c, d, e) == cde_filter):
-            yield ColouredPath(f, tuple(prefix))
-        return
-    if abs(h - t) > n - i:
-        return
-    for s in _TAG_ORDER:
-        if s is Step.DOWN:
-            if h == 0:
-                continue
-            args = (h - 1, seen_up, True, c, d, e + 1)
-        elif s is Step.UP:
-            args = (h + 1, True, seen_down, c, d, e)
-        elif s is Step.HOR_DENIM:
-            if not seen_down:
-                continue
-            args = (h, seen_up, seen_down, c, d + 1, e)
-        else:
-            if not seen_up or h == 0:
-                continue
-            args = (h, seen_up, seen_down, c + 1, d, e)
-        if cde_filter is not None:
-            nc, nd, ne = args[3], args[4], args[5]
-            if nc > cde_filter[0] or nd > cde_filter[1] or ne > cde_filter[2]:
-                continue
-        prefix.append(s)
-        yield from _walk(prefix, n, f, t, cde_filter, *args)
-        prefix.pop()
+    # Extend prefix (at height h, weight c, d, e) in every admissible way
+    # that can still end at height t.  A module-level function, so no
+    # closure refers to itself and a call leaves no garbage cycle.
+    left = n - len(prefix) - 1
+    for s, rise, up, down, dc, dd, de in _STEPS[h > 0, seen_up, seen_down]:
+        if abs(h + rise - t) > left:
+            continue
+        if cde_filter is not None and (c + dc > cde_filter[0]
+                                       or d + dd > cde_filter[1]
+                                       or e + de > cde_filter[2]):
+            continue
+        if left:
+            prefix.append(s)
+            yield from _walk(prefix, n, f, t, cde_filter, h + rise, up, down,
+                             c + dc, d + dd, e + de)
+            prefix.pop()
+        elif cde_filter is None or (c + dc, d + dd, e + de) == cde_filter:
+            yield ColouredPath(f, (*prefix, s))
 
 
 def count_paths(n: int, f: int, t: int,
@@ -191,24 +179,23 @@ def _closed_walk_weights(n: int, umber_on_axis: bool) -> Counter:
     # all two-coloured Motzkin paths of length n from height 0 back to 0,
     # optionally banning umber at height 0; no other constraints
     out: Counter = Counter()
-    _closed_walks(out, n, umber_on_axis, 0, 0, 0, 0, 0)
+    _closed_walks(out, _FREE_STEPS if umber_on_axis else _STEPS, n, 0,
+                  0, 0, 0)
     return out
 
 
-def _closed_walks(out: Counter, n: int, umber_on_axis: bool,
-                  i: int, h: int, c: int, d: int, e: int) -> None:
-    # Module level, so no closure refers to itself (no garbage cycle).
-    if n - i < h:
+def _closed_walks(out: Counter, table: dict, left: int, h: int,
+                  c: int, d: int, e: int) -> None:
+    # Both colour gates stay open, so only the height rules of the table
+    # apply.  Module level, so no closure refers to itself (no garbage
+    # cycle).
+    if left < h:
         return
-    if i == n:
+    if left == 0:
         out[(c, d, e)] += 1
         return
-    _closed_walks(out, n, umber_on_axis, i + 1, h + 1, c, d, e)
-    if h > 0:
-        _closed_walks(out, n, umber_on_axis, i + 1, h - 1, c, d, e + 1)
-    if umber_on_axis or h > 0:
-        _closed_walks(out, n, umber_on_axis, i + 1, h, c + 1, d, e)
-    _closed_walks(out, n, umber_on_axis, i + 1, h, c, d + 1, e)
+    for _, rise, _, _, dc, dd, de in table[h > 0, True, True]:
+        _closed_walks(out, table, left - 1, h + rise, c + dc, d + dd, e + de)
 
 
 def unconstrained_weight_counts(n: int) -> Counter:

@@ -16,6 +16,7 @@ for all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
 
@@ -77,7 +78,7 @@ class SetValuedTableau:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "content",
-                           tuple(frozenset(s) for s in self.content))
+                           tuple(map(frozenset, self.content)))
 
     def row_entry_counts(self) -> tuple[int, int]:
         r1 = sum(len(s) for s in self.content[:self.shape.row1_cells])
@@ -94,17 +95,19 @@ def _check_structure(tab: SetValuedTableau) -> None:
     for s in tab.content:
         if not s:
             raise ValueError("every cell must hold a nonempty set")
-        if seen & s:
+        if not seen.isdisjoint(s):
             raise ValueError("cell sets must be pairwise disjoint")
         seen |= s
     if seen != set(range(1, tab.n + 1)):
         raise ValueError(f"entries must be exactly 1..{tab.n}")
 
 
-def _cover_pairs(shape: TwoRowShape) -> list[tuple[int, int]]:
-    # index pairs (i, j) such that cell i must be entirely smaller than cell j;
-    # right-adjacency within each row plus shared columns between the rows
-    # generate the whole weakly-right-and-below order by transitivity.
+@lru_cache(maxsize=None)
+def _cover_pairs(shape: TwoRowShape) -> tuple[tuple[int, int], ...]:
+    # index pairs (i, j) such that cell i must be entirely smaller than cell j,
+    # cached per shape; right-adjacency within each row plus shared columns
+    # between the rows generate the whole weakly-right-and-below order by
+    # transitivity.
     r1 = shape.row1_cells
     pairs = [(i, i + 1) for i in range(r1 - 1)]
     pairs += [(r1 + i, r1 + i + 1) for i in range(shape.row2_cells - 1)]
@@ -113,14 +116,15 @@ def _cover_pairs(shape: TwoRowShape) -> list[tuple[int, int]]:
         col = shape.f + 1 + i
         if col <= shape.e:
             pairs.append((i, r1 + col - 1))
-    return pairs
+    return tuple(pairs)
 
 
 def is_valid(tab: SetValuedTableau) -> bool:
     """Ordering check via the adjacency pairs (equivalent to the full one)."""
     _check_structure(tab)
+    content = tab.content
     for i, j in _cover_pairs(tab.shape):
-        if max(tab.content[i]) >= min(tab.content[j]):
+        if max(content[i]) >= min(content[j]):
             return False
     return True
 
@@ -168,28 +172,31 @@ def enumerate_tableaux(shape: TwoRowShape, n: int,
         preds[j].append(i)
         succs[i].append(j)
     yield from _place(1, n, shape, shape.row1_cells, preds, succs,
-                      [[] for _ in range(k)], [0, 0], row_filter)
+                      [[] for _ in range(k)], [0] * k,
+                      [len(p) for p in preds], k, [0, 0], row_filter)
 
 
 def _place(entry: int, n: int, shape: TwoRowShape, r1: int,
            preds: list[list[int]], succs: list[list[int]],
-           contents: list[list[int]], row_counts: list[int],
+           contents: list[list[int]], blocked: list[int], missing: list[int],
+           empty: int, row_counts: list[int],
            row_filter: Optional[tuple[int, int]]
            ) -> Iterator[SetValuedTableau]:
     # Place entry..n into the partial filling contents, one list per cell,
-    # undoing each placement after its subtree.  A module-level function,
-    # so no closure refers to itself and a call leaves no garbage cycle.
+    # undoing each placement after its subtree.  blocked[i] counts the
+    # opened successors of cell i, missing[j] the unopened predecessors of
+    # cell j and empty the unopened cells.  A module-level function, so
+    # no closure refers to itself and a call leaves no garbage cycle.
     # Cells below r1 are in the first row.
-    empty = sum(1 for c in contents if not c)
     remaining = n - entry + 1
     for cell in range(len(contents)):
-        opened = bool(contents[cell])
         # a cell stops accepting entries once any later cell has opened
-        if any(contents[s] for s in succs[cell]):
+        if blocked[cell]:
             continue
-        if not opened and any(not contents[p] for p in preds[cell]):
+        opening = not contents[cell]
+        if opening and missing[cell]:
             continue
-        empty_after = empty - (0 if opened else 1)
+        empty_after = empty - opening
         if remaining - 1 < empty_after:
             continue
         row = 0 if cell < r1 else 1
@@ -197,14 +204,25 @@ def _place(entry: int, n: int, shape: TwoRowShape, r1: int,
             continue
         contents[cell].append(entry)
         row_counts[row] += 1
+        if opening:
+            for p in preds[cell]:
+                blocked[p] += 1
+            for s in succs[cell]:
+                missing[s] -= 1
         if entry == n:
             if empty_after == 0 and (
                     row_filter is None or row_counts[0] == row_filter[0]):
                 yield SetValuedTableau(
-                    shape, tuple(frozenset(c) for c in contents), n)
+                    shape, tuple(map(frozenset, contents)), n)
         else:
             yield from _place(entry + 1, n, shape, r1, preds, succs,
-                              contents, row_counts, row_filter)
+                              contents, blocked, missing, empty_after,
+                              row_counts, row_filter)
+        if opening:
+            for p in preds[cell]:
+                blocked[p] -= 1
+            for s in succs[cell]:
+                missing[s] += 1
         contents[cell].pop()
         row_counts[row] -= 1
 

@@ -1,5 +1,7 @@
 """Tests for the coloured-path oracle."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -95,6 +97,24 @@ def test_cde_filter_consistency():
     for key, k in wc.items():
         assert count_paths(n, f, t, cde_filter=key) == k
     assert count_paths(n, f, t, cde_filter=(99, 0, 0)) == 0
+
+
+def test_enumeration_equals_filtered_step_words():
+    # Reference straight from the definition: every one of the 4^n step
+    # words in tag order D < U < d < u, kept when admissible and ending at
+    # height t.  The enumerator must yield exactly these, in this order,
+    # with and without a weight filter.
+    tags = sorted(Step, key=lambda s: s.value)
+    for n in range(7):
+        words = list(product(tags, repeat=n))
+        for f in range(4):
+            for t in range(4):
+                ref = [p for p in (ColouredPath(f, w) for w in words)
+                       if is_admissible(p) and p.end_height == t]
+                assert list(enumerate_paths(n, f, t)) == ref, (n, f, t)
+                for key in {weight(p) for p in ref} | {(1, 0, n)}:
+                    assert list(enumerate_paths(n, f, t, cde_filter=key)) == \
+                        [p for p in ref if weight(p) == key], (n, f, t, key)
 
 
 def test_encode_decode_round_trip():

@@ -1,6 +1,7 @@
 """Tests for the tableau oracle: shapes, validity, enumeration."""
 
 import gc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,6 +161,34 @@ def test_enumeration_is_deterministic():
     a = [tab.content for tab in enumerate_tableaux(shape, 6)]
     b = [tab.content for tab in enumerate_tableaux(shape, 6)]
     assert a == b
+
+
+def test_enumeration_equals_filtered_assignments():
+    # Reference straight from the definition: every assignment of the
+    # entries 1..n to cells, in lexicographic order of the vector (cell of
+    # entry 1, cell of entry 2, ...), kept when no cell is empty and the
+    # all-pairs check accepts it.  The enumerator must yield exactly these,
+    # in this order, with and without a row filter.
+    shapes = [TwoRowShape(e, t, f) for e in range(5) for t in range(5)
+              for f in range(e + t + 1) if 2 * e + t - f <= 4]
+    for shape in shapes:
+        k = shape.cell_count
+        for n in range(1, 7):
+            ref = []
+            for vector in product(range(k), repeat=n):
+                content = [set() for _ in range(k)]
+                for entry, cell in enumerate(vector, start=1):
+                    content[cell].add(entry)
+                if all(content):
+                    tab = SetValuedTableau(shape, tuple(content), n)
+                    if is_valid_quantified(tab):
+                        ref.append(tab)
+            assert list(enumerate_tableaux(shape, n)) == ref, (shape, n)
+            for m in range(n + 1):
+                assert list(enumerate_tableaux(
+                    shape, n, row_filter=(m, n - m))) == \
+                    [tab for tab in ref
+                     if tab.row_entry_counts() == (m, n - m)], (shape, n, m)
 
 
 def test_shape_range_counts_and_row_split():

@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
-from svtab import verify
+from svtab import bijection, paths, verify
 from svtab.cli import main
 from svtab.paths import weight_counts
 from svtab.verify import (
@@ -202,6 +203,50 @@ def test_run_all_streams_reports_before_the_run_ends(monkeypatch):
     checks = {r.check for r in seen}
     assert set(verify.THEOREM_IDS) <= checks
     assert any(c.startswith("lemma") for c in checks)
+
+
+def test_brute_force_layers_visit_every_object(monkeypatch):
+    # Every path and tableau the oracles count is built and yielded, and
+    # every tableau goes through the validating scan: the objects seen on
+    # the public channels add up to the summed values of the weight maps.
+    seen = Counter()
+
+    def stream(name, real):
+        def wrapper(*args, **kwargs):
+            for obj in real(*args, **kwargs):
+                seen[name] += 1
+                yield obj
+        return wrapper
+
+    def call(name, real):
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    def summed(name, real):
+        def wrapper(*args):
+            w = real(*args)
+            seen[name] += sum(w.values())
+            return w
+        return wrapper
+
+    for mod, name, wrap, key in [
+            (paths, "enumerate_paths", stream, "paths"),
+            (paths, "weight_counts", summed, "path maps"),
+            (bijection, "enumerate_tableaux", stream, "tableaux"),
+            (bijection, "tableau_to_path", call, "scans"),
+            (bijection, "tableau_weight_counts", summed, "tableau maps")]:
+        monkeypatch.setattr(mod, name, wrap(key, getattr(mod, name)))
+    for cache in (verify._path_counter, verify._tableau_counter):
+        cache.cache_clear()
+    try:
+        run_all(6)
+    finally:
+        for cache in (verify._path_counter, verify._tableau_counter):
+            cache.cache_clear()
+    assert seen["paths"] == seen["path maps"] > 0
+    assert seen["tableaux"] == seen["scans"] == seen["tableau maps"] > 0
 
 
 def test_report_bytes_are_pinned(tmp_path, capsys):
