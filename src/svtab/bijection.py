@@ -41,12 +41,14 @@ def path_to_tableau(path: ColouredPath) -> SetValuedTableau:
         raise ValueError("path violates the admissibility constraints")
     row1: list[list[int]] = []
     row2: list[list[int]] = []
+    # a Step.UP-style member lookup per step costs more than the step
+    up, down, umber = Step.UP, Step.DOWN, Step.HOR_UMBER
     for i, s in enumerate(path.steps, start=1):
-        if s is Step.UP:
+        if s is up:
             row1.append([i])
-        elif s is Step.DOWN:
+        elif s is down:
             row2.append([i])
-        elif s is Step.HOR_UMBER:
+        elif s is umber:
             row1[-1].append(i)
         else:
             row2[-1].append(i)
@@ -56,8 +58,8 @@ def path_to_tableau(path: ColouredPath) -> SetValuedTableau:
     # up-steps open row-1 cells, so their count must close the books
     assert len(row1) == e - f + t
     shape = TwoRowShape(e=e, t=t, f=f)
-    content = tuple(frozenset(c) for c in row1 + row2)
-    return SetValuedTableau(shape, content, len(path))
+    # SetValuedTableau freezes each cell's list
+    return SetValuedTableau(shape, row1 + row2, len(path))
 
 
 def tableau_weight_counts(n: int, f: int, t: int) -> Counter:

@@ -6,6 +6,10 @@ factorial of a negative number is zero outright, binomials vanish outside
 0 <= b <= a, and chi(S) is the 0/1 truth indicator.  The negative-factorial
 test runs before any other factor of a term is formed, so companion
 factors like 1/(d+e) are never evaluated for a term that is already dead.
+The summands of a k-sum are still the displayed terms, but where every
+binomial index moves by one from k to k + 1 (count_thm7), each binomial is
+reached along its diagonal with one exact multiply and divide instead of
+being evaluated afresh.
 
 All arithmetic is exact.  Where an evaluator's expression fails to match
 the exhaustive oracles (the verification harness measures this on desk
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 Count = Union[int, Fraction]
 
@@ -31,6 +35,28 @@ class Convention:
         if b < 0 or a < 0 or b > a:
             return 0
         return comb(a, b)
+
+    @staticmethod
+    def binom_diagonal(a: int, b: int, db: int) -> Iterator[int]:
+        """binom(a + i, b + i * db) for i = 0, 1, 2, ..., with db 0 or -1.
+
+        A nonzero value gives the next by one exact integer step,
+        C(a+1, b) = C(a, b) (a+1) / (a+1-b) and
+        C(a+1, b-1) = C(a, b) (a+1) b / ((a-b+1) (a-b+2)).
+        A zero value (outside 0 <= b <= a) is taken from binom again, so
+        the convention's zeros hold all along the diagonal.
+        """
+        value = Convention.binom(a, b)
+        while True:
+            yield value
+            if value and db:
+                value = value * (a + 1) * b // ((a - b + 1) * (a - b + 2))
+            elif value:
+                value = value * (a + 1) // (a + 1 - b)
+            a += 1
+            b += db
+            if not value:
+                value = Convention.binom(a, b)
 
     @staticmethod
     def chi(condition: bool) -> int:
@@ -70,6 +96,7 @@ class Convention:
 
 
 _binom = Convention.binom
+_diagonal = Convention.binom_diagonal
 _chi = Convention.chi
 _term = Convention.term
 
@@ -220,6 +247,12 @@ def count_thm6(n: int, f: int, t: int, c: int, d: int, e: int) -> Count:
 def count_thm7(n: int, f: int, t: int) -> int:
     """Tableaux of skew shape (e+t, e)/(f, 0), any e, with n entries in total.
 
+    The k-sum's summands are the displayed terms.  From one k to the next
+    the upper index 2n+k+f-t-3 (or 2n+k-f+t-3) of every bracket binomial
+    rises by one while its lower index falls by one, and the leading
+    binomial's upper index k-1 rises by one, so each binomial is read off
+    its diagonal (Convention.binom_diagonal) rather than evaluated anew.
+
     For 0 < t < f the expression disagrees with the exhaustive oracles
     (measured by the harness); t = 0 and t >= f agree everywhere tested.
     """
@@ -236,20 +269,26 @@ def count_thm7(n: int, f: int, t: int) -> int:
                  - _binom(2 * n - 2, n - f - t - 2)
                  + _binom(2 * n - 3, n - f - t - 1))
         # every binomial in the k-sum has a negative lower index once k > n
-        for k in range(f - t, n + 1):
-            total += _sign(k - f + t) * _binom(k - 1, f - t - 1) * (
-                -_binom(2 * n + k - f + t - 3, n - k - 1)
-                + _binom(2 * n + k - f + t - 3, n - k - 2)
-                + _binom(2 * n + k - f + t - 3, n - k - t - 1)
-                - _binom(2 * n + k - f + t - 3, n - k - 2 * t - 1))
+        k0 = f - t
+        top = 2 * n - 3  # 2n+k-f+t-3 at k = k0
+        for k, lead, b1, b2, b3, b4 in zip(
+                range(k0, n + 1), _diagonal(k0 - 1, f - t - 1, 0),
+                _diagonal(top, n - k0 - 1, -1),
+                _diagonal(top, n - k0 - 2, -1),
+                _diagonal(top, n - k0 - t - 1, -1),
+                _diagonal(top, n - k0 - 2 * t - 1, -1)):
+            total += _sign(k - f + t) * lead * (-b1 + b2 + b3 - b4)
         return total
     total = (_binom(n - 1, t - f - 1)
              + 2 * _binom(2 * n - 3, n + f - t - 2)
              - _binom(2 * n - 2, n - f - t - 2))
-    for k in range(t - f + 1, n + 1):
-        total += _sign(k - t - f - 1) * _binom(k - 1, t - f - 1) * (
-            _binom(2 * n + k + f - t - 3, n - k - 1)
-            - _binom(2 * n + k + f - t - 3, n - k - 2))
+    # the leading binomial is zero throughout when t = f
+    k0 = t - f + 1
+    top = 2 * n - 2  # 2n+k+f-t-3 at k = k0
+    for k, lead, b1, b2 in zip(
+            range(k0, n + 1), _diagonal(k0 - 1, t - f - 1, 0),
+            _diagonal(top, n - k0 - 1, -1), _diagonal(top, n - k0 - 2, -1)):
+        total += _sign(k - t - f - 1) * lead * (b1 - b2)
     return total
 
 

@@ -132,11 +132,24 @@ class MultiPoly:
             if other == 0:
                 return MultiPoly()
             return MultiPoly({e: k * other for e, k in self._terms.items()})
+        return MultiPoly.sum_of_products(((self, other),))
+
+    @staticmethod
+    def sum_of_products(
+            pairs: Iterable[tuple["MultiPoly", "MultiPoly"]]) -> "MultiPoly":
+        """The sum of a * b over the pairs, gathered in one term map.
+
+        The partial sums never become polynomials of their own: only the
+        finished map is cleaned of zero coefficients and wrapped.
+        """
         out: dict[tuple[int, int, int], int] = {}
-        for (a1, b1, c1), k1 in self._terms.items():
-            for (a2, b2, c2), k2 in other._terms.items():
-                e = (a1 + a2, b1 + b2, c1 + c2)
-                out[e] = out.get(e, 0) + k1 * k2
+        get = out.get
+        for p, q in pairs:
+            q_terms = q._terms.items()
+            for (a1, b1, c1), k1 in p._terms.items():
+                for (a2, b2, c2), k2 in q_terms:
+                    e = (a1 + a2, b1 + b2, c1 + c2)
+                    out[e] = get(e, 0) + k1 * k2
         return MultiPoly(out)
 
     __rmul__ = __mul__
@@ -310,17 +323,14 @@ class ZSeries:
 
     def __mul__(self, other: "ZSeries") -> "ZSeries":
         self._check(other)
-        n = self.order
-        out = [ZERO] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return ZSeries(n, out)
+        a, b = self.coeffs, other.coeffs
+        # only pairs of nonzero coefficients enter the kernel
+        left = [i for i, c in enumerate(a) if c]
+        right = {j for j, c in enumerate(b) if c}
+        return ZSeries(self.order, [
+            MultiPoly.sum_of_products((a[i], b[k - i]) for i in left
+                                      if k - i in right)
+            for k in range(self.order + 1)])
 
     def __pow__(self, k: int) -> "ZSeries":
         if k < 0:
@@ -355,13 +365,12 @@ class ZSeries:
         if not self.coeffs[0].is_one():
             raise ValueError("unit_inverse needs constant term 1")
         n = self.order
-        out = [ONE] + [ZERO] * n
+        c = self.coeffs
+        steps = [j for j in range(1, n + 1) if c[j]]
+        out = [ONE]
         for k in range(1, n + 1):
-            acc = ZERO
-            for j in range(1, k + 1):
-                if not self.coeffs[j].is_zero():
-                    acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -acc
+            out.append(-MultiPoly.sum_of_products(
+                (c[j], out[k - j]) for j in steps if j <= k))
         return ZSeries(n, out)
 
     def exact_divide(self, other: "ZSeries") -> "ZSeries":
@@ -379,16 +388,18 @@ class ZSeries:
             if not self.coeffs[i].is_zero():
                 raise NonExactDivision(
                     f"numerator has a z^{i} term below the denominator valuation {v}")
-        lead = other.coeffs[v]
+        b = other.coeffs
+        lead = b[v]
+        # the quotient's nonzero positions, and the divisor's past v
+        known: list[int] = []
+        tail = {j for j in range(v + 1, n + 1) if b[j]}
         out = [ZERO] * (n + 1)
         for k in range(n + 1 - v):
-            acc = self.coeffs[v + k]
-            for j in range(k):
-                if not out[j].is_zero():
-                    b = other.coeffs[v + k - j]
-                    if not b.is_zero():
-                        acc = acc - out[j] * b
+            acc = self.coeffs[v + k] - MultiPoly.sum_of_products(
+                (out[j], b[v + k - j]) for j in known if v + k - j in tail)
             out[k] = acc.divexact(lead)
+            if out[k]:
+                known.append(k)
         return ZSeries(n, out)
 
     def z_derivative(self) -> "ZSeries":
@@ -460,13 +471,11 @@ def solve_M(order: int, x_val: Optional[int] = None, y_val: Optional[int] = None
     m = [ONE]
     for k in range(1, order + 1):
         s = k - 2
-        conv = ZERO
-        for i in range((s + 1) // 2):
-            conv = conv + m[i] * m[s - i]
-        conv = conv * 2
+        conv = MultiPoly.sum_of_products(
+            (m[i], m[s - i]) for i in range((s + 1) // 2)) * 2
         if s >= 0 and s % 2 == 0:
             conv = conv + m[s // 2] * m[s // 2]
-        m.append(xy * m[k - 1] + al * conv)
+        m.append(MultiPoly.sum_of_products(((xy, m[k - 1]), (al, conv))))
     return ZSeries(order, m)
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -332,3 +333,31 @@ def test_fuzzed_arguments_keep_the_exit_code_contract(argv):
     assert code in (0, 1, 2, 3)
     assert err.count("\n") <= 1
     assert _call(argv)[1] == out
+
+
+# sha256 of `svtab table --which thm7 --f F --t T --n 1..200`, keyed by
+# (f, t); taken from the term-by-term evaluation of the k-sum
+THM7_TABLE_SHA256 = {
+    (1, 0): "8f1b14bc90d5d5c3824ca49be3791c954987e53300ba7fd1d6007d65b5cfdd14",
+    (1, 1): "5a2f4aa2b1033874ebc708e5e368950e43ec5c7e669ec6a3d0386e550cac89e1",
+    (1, 2): "e484aba81be7153d8f56d6f6e005c0c35e250557990ae685ddf03f8b3d841fa4",
+    (1, 3): "3552e1ae4557ff02497d535a8d25b5cac244920e33d7d09454b4177782516f10",
+    (2, 0): "ba1d8d7b20c5dfafc866228784fcfc6ae15e31116bccd80ac33501ba5b4b2d74",
+    (2, 1): "0b4d43695b0b3415fc1432de69b23fd2c82b35e85b27a63be8f391e041b84698",
+    (2, 2): "83df432abbb69f989550ede2aae487ce79e75d2ec5cba0b6decc287d06fa235f",
+    (2, 3): "9fa824708d317953e89a4d377ec4abf02c3f13c42feb4faeb069cc645b4d005e",
+    (3, 0): "c4437bbdaf636b0105ebc7dc6a7d5be6a510aeced2b5663e4f388df55ca69b65",
+    (3, 1): "8a6a77c7e28496180967afb9a049aabe0c230ac408b699694d0acadb928850de",
+    (3, 2): "3ff94ee8c27625d1fad33e905eda454631e4c72a5d941ed5cc4678de395da9e5",
+    (3, 3): "bb1d469f39854e057c53dc007843fc0c7777a0251a75c875e3aac74e4c202ae1",
+}
+
+
+def test_thm7_table_bytes_are_pinned(capsys):
+    got = {}
+    for f, t in THM7_TABLE_SHA256:
+        code, out, _ = run(capsys, "table", "--which", "thm7", "--f", str(f),
+                           "--t", str(t), "--n", "1..200")
+        assert code == 0
+        got[f, t] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == THM7_TABLE_SHA256

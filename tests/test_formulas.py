@@ -29,6 +29,17 @@ def test_binom_outside_pascal_triangle_is_zero():
     assert b(0, 0) == 1
 
 
+def test_binom_diagonal_equals_binom_along_the_diagonal():
+    b = Convention.binom
+    for a in range(-4, 12):
+        for start in range(-4, 14):
+            for db in (0, -1):
+                walk = Convention.binom_diagonal(a, start, db)
+                got = [next(walk) for _ in range(16)]
+                assert got == [b(a + i, start + i * db) for i in range(16)], (
+                    a, start, db)
+
+
 def test_chi():
     assert Convention.chi(True) == 1
     assert Convention.chi(False) == 0
@@ -209,3 +220,45 @@ def test_remark_matches_balanced_total():
             assert remark_1_10(n, t) == count_thm7(n, t, t), (n, t)
     with pytest.raises(ValueError):
         remark_1_10(3, 0)
+
+
+def _thm7_term_by_term(n, f, t):
+    # the displayed k-sum with every binomial evaluated afresh
+    b = Convention.binom
+
+    def sign(exponent):
+        return -1 if exponent % 2 else 1
+
+    if t < f:
+        total = ((t == 0) * b(n - 1, f - 1)
+                 + b(2 * n - 2, n - f + t - 1) - b(2 * n - 3, n - f - 1)
+                 - b(2 * n - 2, n - f - t - 2) + b(2 * n - 3, n - f - t - 1))
+        for k in range(f - t, n + 1):
+            top = 2 * n + k - f + t - 3
+            total += sign(k - f + t) * b(k - 1, f - t - 1) * (
+                -b(top, n - k - 1) + b(top, n - k - 2)
+                + b(top, n - k - t - 1) - b(top, n - k - 2 * t - 1))
+        return total
+    total = (b(n - 1, t - f - 1) + 2 * b(2 * n - 3, n + f - t - 2)
+             - b(2 * n - 2, n - f - t - 2))
+    for k in range(t - f + 1, n + 1):
+        top = 2 * n + k + f - t - 3
+        total += sign(k - t - f - 1) * b(k - 1, t - f - 1) * (
+            b(top, n - k - 1) - b(top, n - k - 2))
+    return total
+
+
+def test_thm7_matches_term_by_term_reference():
+    for f in range(1, 7):
+        for t in range(9):
+            for n in range(1, 81):
+                assert count_thm7(n, f, t) == _thm7_term_by_term(n, f, t), (
+                    n, f, t)
+    for f in range(1, 4):
+        for t in range(4):
+            for n in (150, 200, 257):
+                assert count_thm7(n, f, t) == _thm7_term_by_term(n, f, t), (
+                    n, f, t)
+    for t in range(1, 4):
+        for n in range(1, 201):
+            assert remark_1_10(n, t) == count_thm7(n, t, t), (n, t)

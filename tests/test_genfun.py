@@ -1,5 +1,6 @@
 """Tests for the assembled generating functions against the path oracle."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -157,3 +158,53 @@ def test_series_blocks_are_shared():
     assert series_blocks(6, x_val=1, alpha_val=2) is b
     assert series_blocks(6) is series_blocks(6, None, None, None)
     assert series_blocks(6) is not b
+
+
+# sha256 of ZSeries.dump() above the verify grid's order 12: symbolic
+# gf_straight(t, 24) and gf_skew(f, t, 18), and both at x = y = alpha = 1
+# to order 48; taken from the term-by-term series products
+DUMP_SHA256 = {
+    ("straight", 0, 0, 24, None): "f00d265342113afaa810679430ba990861ab32358395c0ef5523422540cae424",
+    ("straight", 0, 1, 24, None): "eda8a2bd0aeccdfe5ff8be261aaf01ceb89010498ece488a20d4a18f63b2b2e3",
+    ("straight", 0, 2, 24, None): "ac57ba11c35b05f7b16cd74e42999f6ecc2a5a718ca72cba18f6702482e29813",
+    ("straight", 0, 3, 24, None): "d4b06647157a0d62387aff3374510a4ad0d60f083ce0184c7af49020f06455a1",
+    ("skew", 1, 0, 18, None): "040aab242331c8b5bbfb7409e200a13cdf41c789642313a3eee8fb29e1d4cc2d",
+    ("skew", 1, 1, 18, None): "e90e6fe71bec4acbf387e9ca22141c85a923199071a903abb771450bb41a701f",
+    ("skew", 1, 2, 18, None): "d0fbc92a5036e46583ac3f764397ec96d30ed7d7fb8cf2fce5e70df70691644e",
+    ("skew", 1, 3, 18, None): "95d11c5fbd49b47698e21570de97aaf6189d79bb148460c96d827096d8dbed4c",
+    ("skew", 2, 0, 18, None): "7916816050f2827afb89796b64823e3ccd93704099515949da6a4b8af3943aed",
+    ("skew", 2, 1, 18, None): "80bd6f13ee5ced4f131b60c9783d80623dc7464784cd2003108df7c880dd8bea",
+    ("skew", 2, 2, 18, None): "57fc70d61770c0658594c599ef946d0add89ab66820d10f7362be8c0baac43a0",
+    ("skew", 2, 3, 18, None): "60d12904183a0e4fff0a5f422dcc678ee30b7f49c4f5c9383a61a1530e99ab77",
+    ("skew", 3, 0, 18, None): "1bd8ae33fa8484b110ba389391b4f637c292d3e35e042ff2e67138b138e28e4c",
+    ("skew", 3, 1, 18, None): "f19b2a711efa35379d5b2984242ca05c0d9760f90c0b2c5ffa4f4c8c7901ac17",
+    ("skew", 3, 2, 18, None): "0cbe7a220f0a8e6c26a9150ba273146cdc85fbe30f11c993a2e7dab59b07bb0d",
+    ("skew", 3, 3, 18, None): "ee7b88f750961dd031b08443b3f1978482b96de57eadfbfc945e7c96922eb5c3",
+    ("straight", 0, 0, 48, 1): "3d6e780136f0440f7d7f093d58fb0d250d01ab157c92dbffddc7473a8b626087",
+    ("straight", 0, 1, 48, 1): "1bdae90246ab90e6668a011324febe83f2d238e2d113bf662809b89d967381f2",
+    ("straight", 0, 2, 48, 1): "cacf433cabcb54f2c4174b232c5f587bd72a6c59d513d64520308c140d5d4dfc",
+    ("straight", 0, 3, 48, 1): "9cc4d76b2aed2eb5562db67e2bae61f754a8839e287954fc46d2379dd1ce7a95",
+    ("skew", 1, 0, 48, 1): "1bdae90246ab90e6668a011324febe83f2d238e2d113bf662809b89d967381f2",
+    ("skew", 1, 1, 48, 1): "c9c337b2558f3e905875b65320cee2c030cf10df4e7e886c42056f292432914f",
+    ("skew", 1, 2, 48, 1): "eaa9192e5934abb6cb9ee8519caa1a22cad169243ddcd8a0c1e1e18ed79caf53",
+    ("skew", 1, 3, 48, 1): "abc7b6617ba634a155c5767a4e00911845a114d6bcb42b646d3dac85b3c90ff3",
+    ("skew", 2, 0, 48, 1): "cacf433cabcb54f2c4174b232c5f587bd72a6c59d513d64520308c140d5d4dfc",
+    ("skew", 2, 1, 48, 1): "eaa9192e5934abb6cb9ee8519caa1a22cad169243ddcd8a0c1e1e18ed79caf53",
+    ("skew", 2, 2, 48, 1): "a7b5df1bf997d48131da944610371c04610048de486cb58934c4da9e48fab88c",
+    ("skew", 2, 3, 48, 1): "d0eb4ef5a9a39165a85f470dfc6028f22cf06171d4a5da5a200620d415962971",
+    ("skew", 3, 0, 48, 1): "9cc4d76b2aed2eb5562db67e2bae61f754a8839e287954fc46d2379dd1ce7a95",
+    ("skew", 3, 1, 48, 1): "abc7b6617ba634a155c5767a4e00911845a114d6bcb42b646d3dac85b3c90ff3",
+    ("skew", 3, 2, 48, 1): "d0eb4ef5a9a39165a85f470dfc6028f22cf06171d4a5da5a200620d415962971",
+    ("skew", 3, 3, 48, 1): "be9a69b5b31e5e94506b13de71fbc8e64985cf3591de29de01ced0fa07441b76",
+}
+
+
+def test_series_dumps_above_order_12_are_pinned():
+    got = {}
+    for key in DUMP_SHA256:
+        family, f, t, order, value = key
+        subs = () if value is None else (value, value, value)
+        series = (gf_straight(t, order, *subs) if family == "straight"
+                  else gf_skew(f, t, order, *subs))
+        got[key] = hashlib.sha256(series.dump().encode()).hexdigest()
+    assert got == DUMP_SHA256

@@ -126,6 +126,127 @@ def test_exact_divide_rejects_lower_valuation():
         ZSeries.one(4).exact_divide(z)
 
 
+# Schoolbook references for the multiply-accumulate kernel: every partial
+# sum is its own MultiPoly, as in a + b * c written out term by term.
+
+def _schoolbook_product(a, b):
+    n = a.order
+    out = [MultiPoly.zero()] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] = out[i + j] + a[i] * b[j]
+    return ZSeries(n, out)
+
+
+def _schoolbook_inverse(a):
+    out = [ONE]
+    for k in range(1, a.order + 1):
+        acc = MultiPoly.zero()
+        for j in range(1, k + 1):
+            acc = acc + a[j] * out[k - j]
+        out.append(-acc)
+    return ZSeries(a.order, out)
+
+
+def _schoolbook_divide(num, den):
+    n = num.order
+    v = den.valuation()
+    if v is None:
+        raise NonExactDivision("division by the zero series")
+    for i in range(min(v, n + 1)):
+        if not num[i].is_zero():
+            raise NonExactDivision(
+                f"numerator has a z^{i} term below the denominator valuation {v}")
+    out = [MultiPoly.zero()] * (n + 1)
+    for k in range(n + 1 - v):
+        acc = num[v + k]
+        for j in range(k):
+            acc = acc - out[j] * den[v + k - j]
+        out[k] = acc.divexact(den[v])
+    return ZSeries(n, out)
+
+
+def _outcome(build):
+    try:
+        return "value", build()
+    except NonExactDivision as exc:
+        return "raises", str(exc)
+
+
+@st.composite
+def sparse_series(draw, order, valuation=0):
+    # mostly zero coefficients, and exactly zero below the valuation
+    coeff = st.one_of(st.just(MultiPoly.zero()), st.just(MultiPoly.zero()),
+                      poly_strategy())
+    coeffs = [MultiPoly.zero()] * min(valuation, order + 1)
+    coeffs += draw(st.lists(coeff, min_size=order + 1 - len(coeffs),
+                            max_size=order + 1 - len(coeffs)))
+    return ZSeries(order, coeffs)
+
+
+@st.composite
+def division_cases(draw):
+    order = draw(st.integers(0, 7))
+    den = draw(sparse_series(order, valuation=draw(st.integers(0, 3))))
+    if draw(st.booleans()):
+        # an exact quotient times the denominator, shifted or not
+        num = _schoolbook_product(draw(sparse_series(order)), den)
+    else:
+        num = draw(sparse_series(order, valuation=draw(st.integers(0, 3))))
+    return num, den
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(poly_strategy(), poly_strategy()), max_size=6))
+def test_sum_of_products_is_the_sum_of_the_products(pairs):
+    want = MultiPoly.zero()
+    for a, b in pairs:
+        want = want + a * b
+    assert MultiPoly.sum_of_products(pairs) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 7).flatmap(
+    lambda n: st.tuples(sparse_series(n), sparse_series(n))))
+def test_series_product_matches_schoolbook(pair):
+    a, b = pair
+    assert a * b == _schoolbook_product(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 7).flatmap(sparse_series))
+def test_unit_inverse_matches_schoolbook(a):
+    unit = ZSeries(a.order, (ONE,) + a.coeffs[1:])
+    assert unit.unit_inverse() == _schoolbook_inverse(unit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_cases())
+def test_exact_divide_matches_schoolbook_and_its_messages(case):
+    num, den = case
+    assert _outcome(lambda: num.exact_divide(den)) == _outcome(
+        lambda: _schoolbook_divide(num, den))
+
+
+def test_exact_divide_failure_messages():
+    z = ZSeries.z(3)
+    one = ZSeries.one(3)
+    cases = [
+        (one, ZSeries.zero(3), "division by the zero series"),
+        (one + z, z, "numerator has a z^0 term below the denominator "
+                     "valuation 1"),
+        ((z * z).scale(X + ONE), z.scale(Y),
+         "y does not divide x + 1 exactly"),
+    ]
+    for num, den, message in cases:
+        with pytest.raises(NonExactDivision) as info:
+            num.exact_divide(den)
+        assert str(info.value) == message
+        with pytest.raises(NonExactDivision) as info:
+            _schoolbook_divide(num, den)
+        assert str(info.value) == message
+
+
 def test_solve_M_satisfies_its_equation():
     order = 30
     m = solve_M(order)
