@@ -1,10 +1,20 @@
 """Closed generating functions for the constrained two-coloured Motzkin paths.
 
 Everything here is expressed in the weight series M(z) of unrestricted
-nonnegative paths and assembled with exact series division, mirroring the
-displayed term-by-term shape of the closed expressions so that each term
-can also be checked on its own.  x marks umber horizontals, y denim
-horizontals, alpha down-steps, and z the length.
+nonnegative paths, mirroring the displayed term-by-term shape of the
+closed expressions so that each term can also be checked on its own.
+x marks umber horizontals, y denim horizontals, alpha down-steps, and z
+the length.
+
+Write u = zM and g_w = z/(1 - wz) for w in {x, y}.  Every numerator is a
+short signed sum of entries u^i g_w^j of one shared table per w, times
+powers of alpha, and every denominator a sum of powers of u, so the
+only full series products are the powers of u.  Each term is then one
+exact series division.  Straight term 3, skew-drop term 2 and skew-rise
+term 4 divide by (w + alpha u)(1 + w u), which M's equation
+M = 1 + (x+y) u + alpha u^2 turns into M (w + (alpha - xy) z): those
+numerators are multiplied by 1/M = 1 - (x+y) z - alpha z u and divided
+by the two-term line w + (alpha - xy) z.
 
 The three entry points are gf_straight (paths from height 0 to height t),
 gf_skew (paths from height f >= 1 to height t, split by whether the path
@@ -16,31 +26,59 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
-from svtab.series import (ALPHA, X, Y, ZSeries, solve_M,
+from svtab.series import (ALPHA, ONE, X, Y, MultiPoly, ZSeries, solve_M,
                           substitution_cache)
 
 
-class Powers:
-    """The powers of one series; powers[k] is base**k.
+class Chain:
+    """A sequence grown on demand, each entry one step from the last.
 
-    The table grows on demand, each new entry one product from the last,
-    so every power up to the largest asked for is built once.
+    Every entry up to the largest asked for is built once.
     """
 
-    __slots__ = ("_table",)
+    __slots__ = ("_table", "_step")
 
-    def __init__(self, base: ZSeries):
-        self._table = [ZSeries.one(base.order), base]
+    def __init__(self, start: list[ZSeries],
+                 step: Callable[[ZSeries], ZSeries]):
+        self._table = start
+        self._step = step
 
     def __getitem__(self, k: int) -> ZSeries:
         if k < 0:
             raise ValueError("negative series power")
         table = self._table
         while len(table) <= k:
-            table.append(table[-1] * table[1])
+            table.append(self._step(table[-1]))
         return table[k]
+
+
+class GeomTable:
+    """The products u^i g^j for u = zM and g = z/(1 - wz), one w per table.
+
+    table[i][j] is u^i g^j.  Row i starts at u^i, taken from the shared
+    powers of u, and each step along it multiplies by g as one shift and
+    one division by the two-term series 1 - wz: O(order) coefficient
+    steps instead of a series product.
+    """
+
+    __slots__ = ("_zm_pow", "_step", "_rows")
+
+    def __init__(self, zm_pow: Chain, one_minus_wz: ZSeries):
+        self._zm_pow = zm_pow
+        self._step = lambda s: s.shift(1).exact_divide(one_minus_wz)
+        self._rows: dict[int, Chain] = {}
+
+    def __getitem__(self, i: int) -> Chain:
+        row = self._rows.get(i)
+        if row is None:
+            row = self._rows[i] = Chain([self._zm_pow[i]], self._step)
+        return row
+
+    def gap(self, i: int, j: int) -> ZSeries:
+        """u^i (u^j - g^j), the difference that several numerators share."""
+        return self._zm_pow[i + j] - self[i][j]
 
 
 class SeriesBlocks:
@@ -49,7 +87,7 @@ class SeriesBlocks:
     The optional integer substitutions replace a variable everywhere,
     which keeps coefficients small in specialized pipelines.  The term
     builders get them from series_blocks, so repeated calls with one
-    (order, substitution) share one object, power tables included.
+    (order, substitution) share one object, tables included.
     """
 
     def __init__(self, order: int, x_val: Optional[int] = None,
@@ -61,54 +99,69 @@ class SeriesBlocks:
         self.one = ZSeries.one(order)
         self.z = ZSeries.z(order)
         self.m = solve_M(order, x_val, y_val, alpha_val)
-        self.zm = self.m.shift(1)
-        self.inv_one_minus_xz = (self.one - self.z.scale(self.x_poly)).unit_inverse()
-        self.inv_one_minus_yz = (self.one - self.z.scale(self.y_poly)).unit_inverse()
-        self.geom_x = self.inv_one_minus_xz.shift(1)   # z/(1-xz)
-        self.geom_y = self.inv_one_minus_yz.shift(1)   # z/(1-yz)
-        self.one_plus_xzm = self.one + self.zm.scale(self.x_poly)
-        self.one_plus_yzm = self.one + self.zm.scale(self.y_poly)
-        self.x_plus_azm = (ZSeries.constant(self.x_poly, order)
-                           + self.zm.scale(self.alpha_poly))
-        self.y_plus_azm = (ZSeries.constant(self.y_poly, order)
-                           + self.zm.scale(self.alpha_poly))
-        self.zm_pow = Powers(self.zm)
-        self.geom_x_pow = Powers(self.geom_x)
-        self.geom_y_pow = Powers(self.geom_y)
+        zm = self.zm = self.m.shift(1)
+        self.zm_pow = Chain([self.one, zm], lambda s: s * zm)
+        self.table_x = GeomTable(self.zm_pow,
+                                 self.one - self.z.scale(self.x_poly))
+        self.table_y = GeomTable(self.zm_pow,
+                                 self.one - self.z.scale(self.y_poly))
+        self.geom_x_pow = self.table_x[0]
+        self.geom_y_pow = self.table_y[0]
+        self.geom_x = self.geom_x_pow[1]   # z/(1-xz)
+        self.geom_y = self.geom_y_pow[1]   # z/(1-yz)
         self.az2m2 = self.zm_pow[2].scale(self.alpha_poly)
         self.one_minus_az2m2 = self.one - self.az2m2
+        # (w + alpha u)(1 + w u) = M line_w: the two-term lines
+        slope = self.z.scale(self.alpha_poly - self.x_poly * self.y_poly)
+        self.line_x = ZSeries.constant(self.x_poly, order) + slope
+        self.line_y = ZSeries.constant(self.y_poly, order) + slope
 
-    # The denominators the term builders divide by, each built on first use.
+    def _zm_sum(self, *coeffs: MultiPoly) -> ZSeries:
+        """coeffs[0] + coeffs[1] u + coeffs[2] u^2 + ... for u = zM."""
+        total = ZSeries.constant(coeffs[0], self.order)
+        for i, c in enumerate(coeffs[1:], 1):
+            total = total + self.zm_pow[i].scale(c)
+        return total
+
+    def gap_over_m(self, table: GeomTable, i: int, j: int) -> ZSeries:
+        """u^i (u^j - g^j) / M from table entries alone.
+
+        1/M = 1 - (x+y) z - alpha z u, and the numerator times u is the
+        same difference one row further down.
+        """
+        p, pu = table.gap(i, j), table.gap(i + 1, j)
+        return p - (p.scale(self.x_poly + self.y_poly)
+                    + pu.scale(self.alpha_poly)).shift(1)
+
+    # The dense denominators the term builders divide by, each built on
+    # first use.
 
     @cached_property
     def den_yzm_xzm(self) -> ZSeries:
-        return self.one_plus_yzm * self.one_plus_xzm
+        x, y = self.x_poly, self.y_poly
+        return self._zm_sum(ONE, x + y, x * y)
 
     @cached_property
     def den_xazm_az2m2(self) -> ZSeries:
-        return self.x_plus_azm * self.one_minus_az2m2
+        x, a = self.x_poly, self.alpha_poly
+        return self._zm_sum(x, a, -(x * a), -(a * a))
 
     @cached_property
     def den_xzm_az2m2(self) -> ZSeries:
-        return self.one_plus_xzm * self.one_minus_az2m2
-
-    @cached_property
-    def den_yazm_yzm(self) -> ZSeries:
-        return self.y_plus_azm * self.one_plus_yzm
+        x, a = self.x_poly, self.alpha_poly
+        return self._zm_sum(ONE, x, -a, -(x * a))
 
     @cached_property
     def den_yzm_az2m2(self) -> ZSeries:
-        return self.one_plus_yzm * self.one_minus_az2m2
-
-    @cached_property
-    def den_xzm_xazm(self) -> ZSeries:
-        return self.one_plus_xzm * self.x_plus_azm
+        y, a = self.y_poly, self.alpha_poly
+        return self._zm_sum(ONE, y, -a, -(y * a))
 
 
 # One entry: callers ask for the same (order, substitution) many times in
 # a row and seldom come back to an older one (verify --max-n 12 builds 12
 # blocks for 189 requests, 7 of them distinct), while an order-24 symbolic
-# set with its power tables holds about 1 MB.
+# set holds about 3.6 MB once its tables serve the straight frames t <= 3
+# and three skew frames (tracemalloc).
 @substitution_cache(maxsize=1)
 def series_blocks(order: int, x_val: Optional[int] = None,
                   y_val: Optional[int] = None,
@@ -129,8 +182,7 @@ def straight_terms(t: int, order: int, x_val: Optional[int] = None,
     a = b.alpha_poly
     term1 = b.geom_x_pow[t]
     term2 = b.zm_pow[t + 2].scale(a).exact_divide(b.den_yzm_xzm)
-    term3 = (b.zm.scale(a) * (b.zm_pow[t] - b.geom_x_pow[t])).exact_divide(
-        b.den_yazm_yzm)
+    term3 = b.gap_over_m(b.table_x, 1, t).scale(a).exact_divide(b.line_y)
     return term1, term2, term3
 
 
@@ -147,24 +199,20 @@ def skew_drop_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
         raise ValueError(f"order {order} is below the valuation f-t={f - t}")
     b = series_blocks(order, x_val, y_val, alpha_val)
     a = b.alpha_poly
-    one_minus_az2m2_t = b.one - b.zm_pow[2 * t].scale(a ** t)
+    ty, zm_pow = b.table_y, b.zm_pow
     term1 = b.geom_y_pow[f - t].scale(a ** (f - t))
-    term2 = (b.zm_pow[t + 1] * (b.zm_pow[f] - b.geom_y_pow[f])).scale(
-        a ** (f + 1)).exact_divide(b.den_xzm_xazm)
-    term3 = (b.zm.scale(a ** (f - t + 1))
-             * (b.zm_pow[f - t] - b.geom_y_pow[f - t])
-             * one_minus_az2m2_t).exact_divide(b.den_xazm_az2m2)
-    ratio_y = b.zm.shift(1).scale(a) * b.inv_one_minus_yz  # alpha z^2 M/(1-yz)
-    term4 = (term1 * (b.one - ratio_y ** t) * b.az2m2).exact_divide(
-        b.den_xzm_az2m2)
-    term5 = -(b.geom_y_pow[f - t].scale(a ** (f + 1))
-              * (b.zm_pow[t] - b.geom_y_pow[t])
-              * b.zm_pow[t + 1]).exact_divide(b.den_xazm_az2m2)
-    term6 = b.zm_pow[f + t + 2].scale(a ** (f + 1)).exact_divide(
+    term2 = b.gap_over_m(ty, t + 1, f).scale(a ** (f + 1)).exact_divide(
+        b.line_x)
+    term3 = (ty.gap(1, f - t) - ty.gap(2 * t + 1, f - t).scale(a ** t)
+             ).scale(a ** (f - t + 1)).exact_divide(b.den_xazm_az2m2)
+    term4 = (ty[2][f - t] - ty[t + 2][f].scale(a ** t)
+             ).scale(a ** (f - t + 1)).exact_divide(b.den_xzm_az2m2)
+    term5 = (ty[t + 1][f] - ty[2 * t + 1][f - t]).scale(
+        a ** (f + 1)).exact_divide(b.den_xazm_az2m2)
+    term6 = zm_pow[f + t + 2].scale(a ** (f + 1)).exact_divide(
         b.den_yzm_xzm)
-    term7 = (one_minus_az2m2_t
-             * b.zm_pow[f - t + 2].scale(a ** (f - t + 1))
-             ).exact_divide(b.den_yzm_az2m2)
+    term7 = (zm_pow[f - t + 2] - zm_pow[f + t + 2].scale(a ** t)
+             ).scale(a ** (f - t + 1)).exact_divide(b.den_yzm_az2m2)
     return term1, term2, term3, term4, term5, term6, term7
 
 
@@ -178,18 +226,17 @@ def skew_rise_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
         raise ValueError(f"order {order} is below the valuation t-f={t - f}")
     b = series_blocks(order, x_val, y_val, alpha_val)
     a = b.alpha_poly
+    zm_pow = b.zm_pow
     term1 = b.geom_x_pow[t - f]
-    term2 = (b.zm_pow[t - f + 2].scale(a)
-             - b.zm_pow[f + t + 2].scale(a ** (f + 1))
+    term2 = (zm_pow[t - f + 2].scale(a)
+             - zm_pow[f + t + 2].scale(a ** (f + 1))
              ).exact_divide(b.den_xzm_az2m2)
-    term3 = b.zm_pow[f + t + 2].scale(a ** (f + 1)).exact_divide(
+    term3 = zm_pow[f + t + 2].scale(a ** (f + 1)).exact_divide(
         b.den_yzm_xzm)
-    term4 = (b.zm.scale(a)
-             * (b.zm_pow[t - f] - b.geom_x_pow[t - f])
-             ).exact_divide(b.den_yazm_yzm)
-    term5 = (b.zm_pow[t - f + 2].scale(a)
-             * (b.one - b.zm_pow[2 * f].scale(a ** f))
-             ).exact_divide(b.den_yzm_az2m2)
+    term4 = b.gap_over_m(b.table_x, 1, t - f).scale(a).exact_divide(
+        b.line_y)
+    term5 = (zm_pow[t - f + 2] - zm_pow[t + f + 2].scale(a ** f)
+             ).scale(a).exact_divide(b.den_yzm_az2m2)
     return term1, term2, term3, term4, term5
 
 

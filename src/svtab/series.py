@@ -165,11 +165,21 @@ class MultiPoly:
         Single-divisor division with respect to the lexicographic term
         order; since one polynomial is always a Groebner basis of its own
         ideal, the remainder vanishes exactly when the division is exact.
+        A one-term divisor divides each term on its own.
         """
         if other.is_zero():
             raise NonExactDivision("division by the zero polynomial")
         if self.is_zero():
             return MultiPoly()
+        if len(other._terms) == 1:
+            ((l0, l1, l2), lead_coeff), = other._terms.items()
+            quot = {}
+            for (a, b, c), k in self._terms.items():
+                if a < l0 or b < l1 or c < l2 or k % lead_coeff:
+                    raise NonExactDivision(
+                        f"{other} does not divide {self} exactly")
+                quot[(a - l0, b - l1, c - l2)] = k // lead_coeff
+            return MultiPoly(quot)
         lead = max(other._terms)
         lead_coeff = other._terms[lead]
         rem = dict(self._terms)

@@ -17,7 +17,7 @@ from svtab.genfun import (
     straight_terms,
 )
 from svtab.paths import count_paths, weight_counts
-from svtab.series import ONE, X
+from svtab.series import ALPHA, X, Y, ZSeries, solve_M
 
 
 ORDER = 7
@@ -208,3 +208,164 @@ def test_series_dumps_above_order_12_are_pinned():
                   else gf_skew(f, t, order, *subs))
         got[key] = hashlib.sha256(series.dump().encode()).hexdigest()
     assert got == DUMP_SHA256
+
+
+# ---------------------------------------------------------------------------
+# the term builders against their displayed product-and-division form
+#
+# A reference built the long way: every numerator and denominator is the
+# product of the factors the closed expressions display, and each term is
+# one exact division by that product.  Powers are kept per instance, since
+# the displayed factors repeat from term to term and frame to frame.
+
+class _Reference:
+    def __init__(self, order, subs):
+        x, y, a = (X.substitute(x=subs[0]), Y.substitute(y=subs[1]),
+                   ALPHA.substitute(alpha=subs[2]))
+        self.a = a
+        self.one = one = ZSeries.one(order)
+        z = ZSeries.z(order)
+        zm = solve_M(order, *subs).shift(1)
+        inv_one_minus_yz = (one - z.scale(y)).unit_inverse()
+        self.bases = {
+            "zm": zm,
+            "gx": (one - z.scale(x)).unit_inverse().shift(1),
+            "gy": inv_one_minus_yz.shift(1),
+            "ratio_y": zm.shift(1).scale(a) * inv_one_minus_yz,
+        }
+        one_plus_xzm, one_plus_yzm = one + zm.scale(x), one + zm.scale(y)
+        x_plus_azm = ZSeries.constant(x, order) + zm.scale(a)
+        y_plus_azm = ZSeries.constant(y, order) + zm.scale(a)
+        self.az2m2 = (zm * zm).scale(a)
+        one_minus_az2m2 = one - self.az2m2
+        self.den_yzm_xzm = one_plus_yzm * one_plus_xzm
+        self.den_xazm_az2m2 = x_plus_azm * one_minus_az2m2
+        self.den_xzm_az2m2 = one_plus_xzm * one_minus_az2m2
+        self.den_yazm_yzm = y_plus_azm * one_plus_yzm
+        self.den_yzm_az2m2 = one_plus_yzm * one_minus_az2m2
+        self.den_xzm_xazm = one_plus_xzm * x_plus_azm
+        self.powers = {}
+
+    def p(self, base, k):
+        if (base, k) not in self.powers:
+            self.powers[base, k] = self.bases[base] ** k
+        return self.powers[base, k]
+
+    def terms(self, f, t):
+        if f == 0:
+            return self.straight(t)
+        if t < f:
+            return self.drop(f, t)
+        return self.rise(f, t)
+
+    def straight(self, t):
+        a, p = self.a, self.p
+        return (p("gx", t),
+                p("zm", t + 2).scale(a).exact_divide(
+                    self.den_yzm_xzm),
+                (p("zm", 1).scale(a) * (p("zm", t) - p("gx", t))).exact_divide(
+                    self.den_yazm_yzm))
+
+    def drop(self, f, t):
+        a, p, one = self.a, self.p, self.one
+        one_minus_az2m2_t = one - p("zm", 2 * t).scale(a ** t)
+        term1 = p("gy", f - t).scale(a ** (f - t))
+        term2 = (p("zm", t + 1) * (p("zm", f) - p("gy", f))).scale(
+            a ** (f + 1)).exact_divide(self.den_xzm_xazm)
+        term3 = (p("zm", 1).scale(a ** (f - t + 1))
+                 * (p("zm", f - t) - p("gy", f - t))
+                 * one_minus_az2m2_t).exact_divide(
+                     self.den_xazm_az2m2)
+        term4 = (term1 * (one - p("ratio_y", t)) * self.az2m2).exact_divide(
+            self.den_xzm_az2m2)
+        term5 = -(p("gy", f - t).scale(a ** (f + 1))
+                  * (p("zm", t) - p("gy", t))
+                  * p("zm", t + 1)).exact_divide(
+                      self.den_xazm_az2m2)
+        term6 = p("zm", f + t + 2).scale(a ** (f + 1)).exact_divide(
+            self.den_yzm_xzm)
+        term7 = (one_minus_az2m2_t
+                 * p("zm", f - t + 2).scale(a ** (f - t + 1))).exact_divide(
+                     self.den_yzm_az2m2)
+        return term1, term2, term3, term4, term5, term6, term7
+
+    def rise(self, f, t):
+        a, p, one = self.a, self.p, self.one
+        return (p("gx", t - f),
+                (p("zm", t - f + 2).scale(a)
+                 - p("zm", f + t + 2).scale(a ** (f + 1))).exact_divide(
+                     self.den_xzm_az2m2),
+                p("zm", f + t + 2).scale(a ** (f + 1)).exact_divide(
+                    self.den_yzm_xzm),
+                (p("zm", 1).scale(a) * (p("zm", t - f) - p("gx", t - f))
+                 ).exact_divide(self.den_yazm_yzm),
+                (p("zm", t - f + 2).scale(a)
+                 * (one - p("zm", 2 * f).scale(a ** f))).exact_divide(
+                     self.den_yzm_az2m2))
+
+
+def _terms(f, t, order, subs):
+    if f == 0:
+        return straight_terms(t, order, *subs)
+    if t < f:
+        return skew_drop_terms(f, t, order, *subs)
+    return skew_rise_terms(f, t, order, *subs)
+
+
+def _term_outcome(build, *args):
+    try:
+        return "value", build(*args)
+    except ArithmeticError as exc:
+        return "raises", type(exc), str(exc)
+
+
+# symbolic, each variable at 0 and at -1 on its own, the zeros that make a
+# line or a denominator vanish (at order 0 y = 0 alone does), and mixed values
+_TERM_SUBS = [
+    (None, None, None),
+    (0, None, None), (None, 0, None), (None, None, 0),
+    (-1, None, None), (None, -1, None), (None, None, -1),
+    (0, None, 0), (None, 0, 0), (0, 0, 0),
+    (-1, -1, -1), (1, 1, 1), (-1, 0, 2),
+]
+
+
+def test_terms_match_the_displayed_products():
+    for subs in _TERM_SUBS:
+        for order in range(12):
+            ref = _Reference(order, subs)
+            for f in range(4):
+                for t in range(5):
+                    if abs(t - f) > order:
+                        continue
+                    assert _term_outcome(_terms, f, t, order, subs) == \
+                        _term_outcome(ref.terms, f, t), (f, t, order, subs)
+
+
+def test_m_equation_identities():
+    # (w + alpha zM)(1 + w zM) = M (w + (alpha - xy) z) for w in {x, y}, and
+    # M (1 - (x+y) z - alpha z zM) = 1, also where alpha or w is 0
+    for subs in [(None, None, None), (None, None, 0), (0, None, None),
+                 (None, 0, None), (0, None, 0), (None, 0, 0), (0, 0, 0),
+                 (-1, 2, None), (1, 1, 1)]:
+        b = SeriesBlocks(9, *subs)
+        x, y, a = b.x_poly, b.y_poly, b.alpha_poly
+        one, z, zm, m = b.one, b.z, b.zm, b.m
+        for w, line in ((x, b.line_x), (y, b.line_y)):
+            w_series = ZSeries.constant(w, 9)
+            assert line == w_series + z.scale(a - x * y), subs
+            assert (w_series + zm.scale(a)) * (one + zm.scale(w)) == \
+                m * line, subs
+        assert m * (one - z.scale(x + y) - zm.shift(1).scale(a)) == one, subs
+        for table in (b.table_x, b.table_y):
+            for i, j in ((1, 0), (1, 3), (3, 2)):
+                assert b.gap_over_m(table, i, j) * m == table.gap(i, j), subs
+
+
+def test_table_entries_are_the_products():
+    b = SeriesBlocks(7, None, 2, None)
+    for table, geom in ((b.table_x, b.geom_x), (b.table_y, b.geom_y)):
+        for i, j in ((0, 0), (0, 3), (2, 0), (1, 2), (3, 4)):
+            assert table[i][j] == b.zm ** i * geom ** j
+        assert table.gap(2, 3) == b.zm ** 2 * (b.zm ** 3 - geom ** 3)
+    assert b.table_x[0] is b.geom_x_pow and b.table_y[0] is b.geom_y_pow

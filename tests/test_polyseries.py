@@ -74,6 +74,59 @@ def test_divexact_inverts_product(a, b):
     assert (a * b).divexact(b) == a
 
 
+# The general division loop, as it runs for divisors of several terms; a
+# one-term divisor must give the same quotient and the same failure.
+def _general_divexact(p, d):
+    lead = max(d.terms)
+    lead_coeff = d.terms[lead]
+    rem = p.terms
+    quot = {}
+    while rem:
+        e = max(rem)
+        k = rem[e]
+        diff = (e[0] - lead[0], e[1] - lead[1], e[2] - lead[2])
+        if min(diff) < 0 or k % lead_coeff != 0:
+            raise NonExactDivision(f"{d} does not divide {p} exactly")
+        q = k // lead_coeff
+        quot[diff] = quot.get(diff, 0) + q
+        for e2, k2 in d.terms.items():
+            tgt = (diff[0] + e2[0], diff[1] + e2[1], diff[2] + e2[2])
+            nv = rem.get(tgt, 0) - q * k2
+            if nv:
+                rem[tgt] = nv
+            else:
+                rem.pop(tgt, None)
+    return MultiPoly(quot)
+
+
+def monomial_strategy():
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
+    coeff = st.integers(1, 6).flatmap(lambda k: st.sampled_from((k, -k)))
+    return st.builds(lambda e, k: MultiPoly({e: k}), exps, coeff)
+
+
+def _poly_outcome(build):
+    try:
+        return "value", build()
+    except NonExactDivision as exc:
+        return "raises", str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_strategy(), monomial_strategy())
+def test_monomial_divexact_inverts_product(p, m):
+    assert (p * m).divexact(m) == p
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_strategy(), poly_strategy(), monomial_strategy())
+def test_monomial_divexact_matches_the_general_loop(p, q, m):
+    # q added to a multiple of m makes it a non-multiple unless m divides q
+    for num in (p, p * m + q):
+        assert _poly_outcome(lambda: num.divexact(m)) == _poly_outcome(
+            lambda: _general_divexact(num, m))
+
+
 def test_substitute_partial():
     p = X * Y + ALPHA * X
     assert p.substitute(x=2) == Y * 2 + ALPHA * 2
