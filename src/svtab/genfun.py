@@ -16,10 +16,11 @@ M = 1 + (x+y) u + alpha u^2 turns into M (w + (alpha - xy) z): those
 numerators are multiplied by 1/M = 1 - (x+y) z - alpha z u and divided
 by the two-term line w + (alpha - xy) z.
 
-The three entry points are gf_straight (paths from height 0 to height t),
-gf_skew (paths from height f >= 1 to height t, split by whether the path
-ends below or at-or-above its start) and expected_downsteps_series, the
-mean number of down-steps among all paths counted by gf_straight.
+frame_terms picks the term builder of a frame (f, t): straight for
+f = 0, drop for t < f, rise for t >= f.  The entry points sum its terms:
+gf_straight (paths from height 0 to height t), gf_skew (paths from
+height f >= 1 to height t) and expected_downsteps_series, the mean
+number of down-steps among all paths counted by gf_straight.
 """
 
 from __future__ import annotations
@@ -170,6 +171,19 @@ def series_blocks(order: int, x_val: Optional[int] = None,
     return SeriesBlocks(order, x_val, y_val, alpha_val)
 
 
+# At x = 0 or y = 0 some denominators have valuation 1, so an exact division
+# leaves its top quotient coefficient unknown: the term builders read blocks
+# one order further there and _cut their terms back to order.
+def _blocks(order: int, *subs: Optional[int]) -> SeriesBlocks:
+    return series_blocks(order + (0 in subs[:2]), *subs)
+
+
+def _cut(order: int, *terms: ZSeries) -> tuple[ZSeries, ...]:
+    if terms[0].order == order:
+        return terms
+    return tuple(term.truncate(order) for term in terms)
+
+
 def straight_terms(t: int, order: int, x_val: Optional[int] = None,
                    y_val: Optional[int] = None,
                    alpha_val: Optional[int] = None) -> tuple[ZSeries, ...]:
@@ -178,12 +192,12 @@ def straight_terms(t: int, order: int, x_val: Optional[int] = None,
         raise ValueError("t must be nonnegative")
     if order < t:
         raise ValueError(f"order {order} is below the valuation t={t}")
-    b = series_blocks(order, x_val, y_val, alpha_val)
+    b = _blocks(order, x_val, y_val, alpha_val)
     a = b.alpha_poly
     term1 = b.geom_x_pow[t]
     term2 = b.zm_pow[t + 2].scale(a).exact_divide(b.den_yzm_xzm)
     term3 = b.gap_over_m(b.table_x, 1, t).scale(a).exact_divide(b.line_y)
-    return term1, term2, term3
+    return _cut(order, term1, term2, term3)
 
 
 def skew_drop_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
@@ -197,7 +211,7 @@ def skew_drop_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
         raise ValueError("need 0 <= t < f")
     if order < f - t:
         raise ValueError(f"order {order} is below the valuation f-t={f - t}")
-    b = series_blocks(order, x_val, y_val, alpha_val)
+    b = _blocks(order, x_val, y_val, alpha_val)
     a = b.alpha_poly
     ty, zm_pow = b.table_y, b.zm_pow
     term1 = b.geom_y_pow[f - t].scale(a ** (f - t))
@@ -213,7 +227,7 @@ def skew_drop_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
         b.den_yzm_xzm)
     term7 = (zm_pow[f - t + 2] - zm_pow[f + t + 2].scale(a ** t)
              ).scale(a ** (f - t + 1)).exact_divide(b.den_yzm_az2m2)
-    return term1, term2, term3, term4, term5, term6, term7
+    return _cut(order, term1, term2, term3, term4, term5, term6, term7)
 
 
 def skew_rise_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
@@ -224,7 +238,7 @@ def skew_rise_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
         raise ValueError("need 1 <= f <= t")
     if order < t - f:
         raise ValueError(f"order {order} is below the valuation t-f={t - f}")
-    b = series_blocks(order, x_val, y_val, alpha_val)
+    b = _blocks(order, x_val, y_val, alpha_val)
     a = b.alpha_poly
     zm_pow = b.zm_pow
     term1 = b.geom_x_pow[t - f]
@@ -237,7 +251,22 @@ def skew_rise_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
         b.line_y)
     term5 = (zm_pow[t - f + 2] - zm_pow[t + f + 2].scale(a ** f)
              ).scale(a).exact_divide(b.den_yzm_az2m2)
-    return term1, term2, term3, term4, term5
+    return _cut(order, term1, term2, term3, term4, term5)
+
+
+def frame_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
+                y_val: Optional[int] = None,
+                alpha_val: Optional[int] = None) -> tuple[ZSeries, ...]:
+    """The displayed terms of the height-f-to-t generating function.
+
+    f = 0 gives the straight terms, t < f the skew-drop terms and t >= f
+    the skew-rise terms.
+    """
+    if f == 0:
+        return straight_terms(t, order, x_val, y_val, alpha_val)
+    if t < f:
+        return skew_drop_terms(f, t, order, x_val, y_val, alpha_val)
+    return skew_rise_terms(f, t, order, x_val, y_val, alpha_val)
 
 
 def _sum(terms: tuple[ZSeries, ...]) -> ZSeries:
@@ -251,7 +280,7 @@ def gf_straight(t: int, order: int, x_val: Optional[int] = None,
                 y_val: Optional[int] = None,
                 alpha_val: Optional[int] = None) -> ZSeries:
     """Weight generating function of admissible paths from height 0 to t."""
-    return _sum(straight_terms(t, order, x_val, y_val, alpha_val))
+    return _sum(frame_terms(0, t, order, x_val, y_val, alpha_val))
 
 
 def gf_skew(f: int, t: int, order: int, x_val: Optional[int] = None,
@@ -262,9 +291,7 @@ def gf_skew(f: int, t: int, order: int, x_val: Optional[int] = None,
         raise ValueError("f must be at least 1; use gf_straight for f = 0")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t < f:
-        return _sum(skew_drop_terms(f, t, order, x_val, y_val, alpha_val))
-    return _sum(skew_rise_terms(f, t, order, x_val, y_val, alpha_val))
+    return _sum(frame_terms(f, t, order, x_val, y_val, alpha_val))
 
 
 def refined_coefficient(series: ZSeries, n: int, c: int, d: int, e: int) -> int:
@@ -284,7 +311,7 @@ def expected_downsteps_series(t: int, order: int) -> tuple[Optional[Fraction], .
     by differentiating the x = y = 1 series in alpha and setting alpha to
     1 afterwards.  Lengths with no paths at all get None.
     """
-    series = _sum(straight_terms(t, order, x_val=1, y_val=1))
+    series = _sum(frame_terms(0, t, order, x_val=1, y_val=1))
     weighted = series.alpha_derivative().substitute(alpha=1)
     counts = series.substitute(alpha=1)
     out: list[Optional[Fraction]] = []

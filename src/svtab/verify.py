@@ -15,7 +15,11 @@ outside them means a regression and fails ``run_all``.
 The identity registry (check_lemma, ids 12..36) compares each displayed
 building-block identity of the derivation: a truncated-series evaluation
 of the left side against an independent evaluation of the stated right
-side, symbolically in x, y, alpha where the identity is symbolic.
+side, symbolically in x, y, alpha where the identity is symbolic.  Each
+identity is a data row: a sub-grid of frames, the index of its left side
+among the terms of ``genfun.frame_terms``, the reading of that term
+(symbolic, at x = y = alpha = 1, or d/dalpha at x = y = 1) and the right
+side.
 """
 
 from __future__ import annotations
@@ -29,9 +33,8 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from svtab import bijection, formulas, paths
 from svtab.formulas import Convention
-from svtab.genfun import (gf_skew, gf_straight, series_blocks, skew_drop_terms,
-                          skew_rise_terms, straight_terms)
-from svtab.series import ALPHA, NonExactDivision, ZSeries
+from svtab.genfun import frame_terms, gf_skew, gf_straight
+from svtab.series import NonExactDivision, ZSeries
 
 AGREE = "agree"
 DISAGREE = "disagree"
@@ -262,7 +265,7 @@ class _Family:
     first_n: int = 1
 
 
-_FAMILIES: dict[str, _Family] = {
+FAMILIES: dict[str, _Family] = {
     # The refined families gate their path layer on TABLEAU_BOUND.
     "thm1": _Family(
         lambda n: _weights(n, (0,)), _refined,
@@ -299,7 +302,7 @@ _FAMILIES: dict[str, _Family] = {
         frame=lambda p: (p["t"], p["t"])),
 }
 
-THEOREM_IDS = tuple(_FAMILIES)
+THEOREM_IDS = tuple(FAMILIES)
 
 
 def check_theorem(check: str, max_n: int) -> list[CheckReport]:
@@ -314,9 +317,9 @@ def check_theorem(check: str, max_n: int) -> list[CheckReport]:
     ValueError from the closed form marks the point
     formula-domain-excluded.  Reports come back in canonical sorted order.
     """
-    if check not in _FAMILIES:
+    if check not in FAMILIES:
         raise ValueError(f"unknown check id {check!r}")
-    fam = _FAMILIES[check]
+    fam = FAMILIES[check]
     order = _series_order(min(max_n, SERIES_BOUND))
     reports = []
     for n in range(fam.first_n, min(max_n, fam.top) + 1):
@@ -516,17 +519,6 @@ def _rhs36(n: int, f: int, t: int) -> int:
     return s
 
 
-def _build24(f: int, t: int, order: int) -> ZSeries:
-    b = series_blocks(order)
-    num = b.zm_pow[f + t + 2].scale(b.alpha_poly ** (f + 1))
-    return num.exact_divide(b.den_yzm_xzm)
-
-
-def _build33(f: int, t: int, order: int) -> ZSeries:
-    b = series_blocks(order, 1, 1, 1)
-    return b.zm_pow[f + t + 2].exact_divide(b.den_yzm_xzm)
-
-
 _T_GRID = tuple({"t": t} for t in range(MAX_T + 1))
 _F_GRID = tuple({"f": f} for f in range(1, MAX_F + 1))
 _DROP_GRID = tuple({"f": f, "t": t}
@@ -536,83 +528,54 @@ _RISE_GRID = tuple({"f": f, "t": t}
 _FULL_GRID = tuple({"f": f, "t": t}
                    for f in range(1, MAX_F + 1) for t in range(MAX_T + 1))
 
-_AT_111 = {"x_val": 1, "y_val": 1, "alpha_val": 1}
+# The readings of a displayed term, as the (x, y, alpha) substitution of
+# frame_terms: symbolic, at x = y = alpha = 1, and d/dalpha at x = y = 1
+# (built at x = y = 1, then differentiated and set at alpha = 1).
+_SYMBOLIC = (None, None, None)
+_AT_111 = (1, 1, 1)
+_D_ALPHA = (1, 1, None)
 
-# id -> (symbolic?, sub-grid, builder(point, order), rhs).  rhs takes
-# (n, f, t, c, d, e) and gives the x^c y^d alpha^e coefficient of [z^n]
-# where the identity is symbolic, and takes (n, f, t) and gives the
-# integer [z^n] where it is specialized; f and t are 0 where the
-# sub-grid has no such key.
+# id -> (sub-grid, term index, reading, rhs).  The left side is term
+# `index` of frame_terms(f, t) under the reading; a (drop, rise) index
+# pair serves a sub-grid on both sides of t = f.  f and t are 0 where the
+# sub-grid has no such key.  rhs takes (n, f, t, c, d, e) and gives the
+# x^c y^d alpha^e coefficient of [z^n] where the reading is symbolic, and
+# takes (n, f, t) and gives the integer [z^n] otherwise.
 _LEMMAS: dict[int, tuple] = {
-    12: (True, _T_GRID,
-         lambda p, o: series_blocks(o).geom_x_pow[p["t"]], _rhs12),
-    13: (True, _T_GRID,
-         lambda p, o: straight_terms(p["t"], o)[1], _rhs13),
-    14: (True, _T_GRID,
-         lambda p, o: straight_terms(p["t"], o)[2], _rhs14),
-    15: (False, _T_GRID,
-         lambda p, o: straight_terms(p["t"], o, **_AT_111)[1], _rhs15),
-    16: (False, _T_GRID,
-         lambda p, o: straight_terms(p["t"], o, **_AT_111)[2], _rhs16),
-    17: (False, _T_GRID,
-         lambda p, o: straight_terms(p["t"], o, x_val=1, y_val=1)[1]
-         .alpha_derivative().substitute(alpha=1), _rhs17),
-    18: (False, _T_GRID,
-         lambda p, o: straight_terms(p["t"], o, x_val=1, y_val=1)[2]
-         .alpha_derivative().substitute(alpha=1), _rhs18),
-    19: (True, _F_GRID,
-         lambda p, o: series_blocks(o).geom_y_pow[p["f"]].scale(
-             ALPHA ** p["f"]), _rhs19),
-    20: (True, _DROP_GRID,
-         lambda p, o: skew_drop_terms(p["f"], p["t"], o)[1], _rhs20),
-    21: (True, _DROP_GRID,
-         lambda p, o: skew_drop_terms(p["f"], p["t"], o)[2], _rhs21),
-    22: (True, _DROP_GRID,
-         lambda p, o: skew_drop_terms(p["f"], p["t"], o)[3], _rhs22),
-    23: (True, _DROP_GRID,
-         lambda p, o: skew_drop_terms(p["f"], p["t"], o)[4], _rhs23),
-    24: (True, _FULL_GRID,
-         lambda p, o: _build24(p["f"], p["t"], o), _rhs24),
-    25: (True, _DROP_GRID,
-         lambda p, o: skew_drop_terms(p["f"], p["t"], o)[6], _rhs25),
-    26: (True, _RISE_GRID,
-         lambda p, o: skew_rise_terms(p["f"], p["t"], o)[1], _rhs26),
-    27: (True, _RISE_GRID,
-         lambda p, o: skew_rise_terms(p["f"], p["t"], o)[3], _rhs27),
-    28: (True, _RISE_GRID,
-         lambda p, o: skew_rise_terms(p["f"], p["t"], o)[4], _rhs28),
-    29: (False, _DROP_GRID,
-         lambda p, o: skew_drop_terms(p["f"], p["t"], o, **_AT_111)[1],
-         _rhs29),
-    30: (False, _DROP_GRID,
-         lambda p, o: skew_drop_terms(p["f"], p["t"], o, **_AT_111)[2],
-         _rhs30),
-    31: (False, _DROP_GRID,
-         lambda p, o: skew_drop_terms(p["f"], p["t"], o, **_AT_111)[3],
-         _rhs31),
-    32: (False, _DROP_GRID,
-         lambda p, o: skew_drop_terms(p["f"], p["t"], o, **_AT_111)[4],
-         _rhs32),
-    33: (False, _FULL_GRID,
-         lambda p, o: _build33(p["f"], p["t"], o), _rhs33),
-    34: (False, _DROP_GRID,
-         lambda p, o: skew_drop_terms(p["f"], p["t"], o, **_AT_111)[6],
-         _rhs34),
-    35: (False, _RISE_GRID,
-         lambda p, o: skew_rise_terms(p["f"], p["t"], o, **_AT_111)[1],
-         _rhs35),
-    36: (False, _RISE_GRID,
-         lambda p, o: skew_rise_terms(p["f"], p["t"], o, **_AT_111)[3],
-         _rhs36),
+    12: (_T_GRID, 0, _SYMBOLIC, _rhs12),
+    13: (_T_GRID, 1, _SYMBOLIC, _rhs13),
+    14: (_T_GRID, 2, _SYMBOLIC, _rhs14),
+    15: (_T_GRID, 1, _AT_111, _rhs15),
+    16: (_T_GRID, 2, _AT_111, _rhs16),
+    17: (_T_GRID, 1, _D_ALPHA, _rhs17),
+    18: (_T_GRID, 2, _D_ALPHA, _rhs18),
+    19: (_F_GRID, 0, _SYMBOLIC, _rhs19),
+    20: (_DROP_GRID, 1, _SYMBOLIC, _rhs20),
+    21: (_DROP_GRID, 2, _SYMBOLIC, _rhs21),
+    22: (_DROP_GRID, 3, _SYMBOLIC, _rhs22),
+    23: (_DROP_GRID, 4, _SYMBOLIC, _rhs23),
+    24: (_FULL_GRID, (5, 2), _SYMBOLIC, _rhs24),
+    25: (_DROP_GRID, 6, _SYMBOLIC, _rhs25),
+    26: (_RISE_GRID, 1, _SYMBOLIC, _rhs26),
+    27: (_RISE_GRID, 3, _SYMBOLIC, _rhs27),
+    28: (_RISE_GRID, 4, _SYMBOLIC, _rhs28),
+    29: (_DROP_GRID, 1, _AT_111, _rhs29),
+    30: (_DROP_GRID, 2, _AT_111, _rhs30),
+    31: (_DROP_GRID, 3, _AT_111, _rhs31),
+    32: (_DROP_GRID, 4, _AT_111, _rhs32),
+    33: (_FULL_GRID, (5, 2), _AT_111, _rhs33),
+    34: (_DROP_GRID, 6, _AT_111, _rhs34),
+    35: (_RISE_GRID, 1, _AT_111, _rhs35),
+    36: (_RISE_GRID, 3, _AT_111, _rhs36),
 }
 
 LEMMA_IDS = tuple(sorted(_LEMMAS))
 
 
 @lru_cache(maxsize=None)
-def _lemma_series(lemma_id: int, point_key: tuple, order: int):
-    builder = _LEMMAS[lemma_id][2]
-    return builder(dict(point_key), order)
+def _frame_terms(f: int, t: int, order: int,
+                 reading: tuple) -> tuple[ZSeries, ...]:
+    return frame_terms(f, t, order, *reading)
 
 
 def _point_str(point: dict) -> str:
@@ -631,21 +594,27 @@ def check_lemma(lemma_id: int, n: int, order: int) -> CheckReport:
         raise ValueError(f"unknown lemma id {lemma_id!r}")
     if n > order:
         raise ValueError(f"need order >= n, got order={order} n={n}")
-    symbolic, grid, _, rhs = _LEMMAS[lemma_id]
+    if order < _series_order(0):
+        raise ValueError(f"need order >= {_series_order(0)}, the top term "
+                         f"valuation on the lemma grids, got order={order}")
+    grid, index, reading, rhs = _LEMMAS[lemma_id]
+    symbolic = reading == _SYMBOLIC
     started = time.perf_counter()
     params: dict = {"lemma": lemma_id, "n": n}
     mismatches = []
     first_lhs = first_rhs = None
     for point in grid:
         f, t = point.get("f", 0), point.get("t", 0)
-        key = tuple(sorted(point.items()))
         try:
-            series = _lemma_series(lemma_id, key, order)
+            terms = _frame_terms(f, t, order, reading)
         except NonExactDivision as exc:
             rep = CheckReport(f"lemma{lemma_id}", params,
                               series=f"{_point_str(point)}: {exc}",
                               status=BUILDER_ERROR)
             return _timed(rep, started)
+        series = terms[index[t >= f] if isinstance(index, tuple) else index]
+        if reading == _D_ALPHA:
+            series = series.alpha_derivative().substitute(alpha=1)
         if symbolic:
             got = {k: Fraction(v) for k, v in series[n].terms.items()}
             want = {w: v for w in _decomps(n, f, t)

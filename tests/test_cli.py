@@ -180,12 +180,12 @@ def test_series_rational_specialization(capsys):
 # sha256 over `svtab series` at order 4 for every straight frame t <= 2 and
 # skew frame f <= 3, t <= 3, with x, y and alpha each unset, 0, 1 or -1:
 # argv, exit code, stdout and stderr of all 960 calls, 60 of them errors
-# (a zero denominator), taken from the series products the closed forms
-# display.  Where y = 0 (x = 0 for a skew drop) and alpha is not, some
-# terms divide by a series of valuation 1 and read 0 at z^4, so the pinned
-# z^4 line is not the true coefficient there; mending that re-pins this.
+# (a zero denominator).  Taken after the term builders began dividing one
+# order further where x = 0 or y = 0, which changed the z^4 line of 102
+# calls; test_specialized_build_agrees_with_symbolic checks those
+# coefficients against the substituted symbolic series.
 SUBSTITUTION_GRID_SHA256 = (
-    "ced1ec1c9b0ec6f9878fc6e6d1e9b5f5f333cc13179d9e8cc680913f0ee42cae")
+    "15a8ae79d5ea67a80eb4ceaabdc80a3e118f54c19fe412ba001544629e0c95be")
 
 
 def test_series_substitution_grid_bytes_are_pinned(capsys):
@@ -201,6 +201,16 @@ def test_series_substitution_grid_bytes_are_pinned(capsys):
                     argv += [flag, str(value)]
             digest.update(repr((argv, *run(capsys, *argv))).encode())
     assert digest.hexdigest() == SUBSTITUTION_GRID_SHA256
+
+
+def test_series_negative_rational_value(capsys):
+    # argparse alone reads -3/4 as an option, not as the value of --y
+    frame = ["series", "--family", "straight", "--t", "1", "--order", "3",
+             "--x", "1/2", "--alpha", "2"]
+    spaced = run(capsys, *frame, "--y", "-3/4")
+    joined = run(capsys, *frame, "--y=-3/4")
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[1].startswith("0: 0\n1: 1\n")
 
 
 def test_series_order_cap(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for the assembled generating functions against the path oracle."""
 
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from svtab.genfun import (
     SeriesBlocks,
     expected_downsteps_series,
+    frame_terms,
     gf_skew,
     gf_straight,
     refined_coefficient,
@@ -52,20 +54,25 @@ def test_skew_rise_series_matches_paths():
             assert series_terms(series, n) == oracle_poly_terms(n, f, t), (f, t, n)
 
 
-def _gf(f, t, order, *subs):
-    return gf_skew(f, t, order, *subs) if f else gf_straight(t, order, *subs)
-
-
 def test_specialized_build_agrees_with_symbolic():
-    # Every harness frame at x = y = 1, with and without alpha = 1; the
-    # harness reads only the symbolic series, so this keeps the
-    # specialized pipeline checked against it.
-    for f in range(4):
-        for t in range(4):
-            sym = _gf(f, t, 9)
-            for alpha in (1, None):
-                assert sym.substitute(x=1, y=1, alpha=alpha) == \
-                    _gf(f, t, 9, 1, 1, alpha), (f, t, alpha)
+    # Every frame f, t <= 3 at every order up to 9, under every
+    # substitution of x, y and alpha in {unset, 0, 1, -1} that builds: each
+    # displayed term, whose sum gf_straight and gf_skew return, equals the
+    # substituted symbolic one.  The harness reads only the symbolic
+    # series, so this keeps the specialized pipeline checked against it.
+    # At x = 0 or y = 0 some denominators have valuation 1, and the top
+    # coefficient must still be right.
+    frames = [(f, t, order) for order in range(10) for f in range(4)
+              for t in range(4) if abs(t - f) <= order]
+    symbolic = {frame: frame_terms(*frame) for frame in frames}
+    for subs in itertools.product((None, 0, 1, -1), repeat=3):
+        for frame in frames:
+            try:
+                got = frame_terms(*frame, *subs)
+            except ArithmeticError:
+                continue
+            want = tuple(term.substitute(*subs) for term in symbolic[frame])
+            assert got == want, (frame, subs)
 
 
 def test_total_counts_at_unit_values():
@@ -304,14 +311,6 @@ class _Reference:
                      self.den_yzm_az2m2))
 
 
-def _terms(f, t, order, subs):
-    if f == 0:
-        return straight_terms(t, order, *subs)
-    if t < f:
-        return skew_drop_terms(f, t, order, *subs)
-    return skew_rise_terms(f, t, order, *subs)
-
-
 def _term_outcome(build, *args):
     try:
         return "value", build(*args)
@@ -320,7 +319,7 @@ def _term_outcome(build, *args):
 
 
 # symbolic, each variable at 0 and at -1 on its own, the zeros that make a
-# line or a denominator vanish (at order 0 y = 0 alone does), and mixed values
+# denominator vanish (x = alpha = 0, y = alpha = 0), and mixed values
 _TERM_SUBS = [
     (None, None, None),
     (0, None, None), (None, 0, None), (None, None, 0),
@@ -330,16 +329,23 @@ _TERM_SUBS = [
 ]
 
 
+def _cut_terms(ref, order, f, t):
+    return tuple(term.truncate(order) for term in ref.terms(f, t))
+
+
 def test_terms_match_the_displayed_products():
+    # At x = 0 or y = 0 some denominators have valuation 1, so the builders
+    # and the reference divide one order further and cut back to order.
     for subs in _TERM_SUBS:
         for order in range(12):
-            ref = _Reference(order, subs)
+            ref = _Reference(order + (0 in subs[:2]), subs)
             for f in range(4):
                 for t in range(5):
                     if abs(t - f) > order:
                         continue
-                    assert _term_outcome(_terms, f, t, order, subs) == \
-                        _term_outcome(ref.terms, f, t), (f, t, order, subs)
+                    assert _term_outcome(frame_terms, f, t, order, *subs) == \
+                        _term_outcome(_cut_terms, ref, order, f, t), \
+                        (f, t, order, subs)
 
 
 def test_m_equation_identities():

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from svtab import bijection, paths, verify
+from svtab import bijection, genfun, paths, verify
 from svtab.cli import main
 from svtab.paths import weight_counts
 from svtab.verify import (
@@ -149,6 +149,9 @@ def test_lemma_rejects_bad_arguments():
         check_lemma(11, 4, 4)
     with pytest.raises(ValueError):
         check_lemma(13, 9, 4)  # n beyond the series order
+    for lemma_id in verify.LEMMA_IDS:  # order below a term valuation on the grid
+        with pytest.raises(ValueError, match="need order >= 3"):
+            check_lemma(lemma_id, 1, 2)
 
 
 def test_identity_10_1_only_origin_fails():
@@ -247,6 +250,30 @@ def test_brute_force_layers_visit_every_object(monkeypatch):
             cache.cache_clear()
     assert seen["paths"] == seen["path maps"] > 0
     assert seen["tableaux"] == seen["scans"] == seen["tableau maps"] > 0
+
+
+def test_lemma_layer_builds_each_frame_reading_once(monkeypatch):
+    # Every left side is a term of one cached frame_terms call, so the
+    # lemma layer asks each term builder for each argument set once: 16
+    # frames symbolic, 16 at x = y = alpha = 1, 4 straight at x = y = 1.
+    calls = Counter()
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls[real.__name__, args, tuple(sorted(kwargs.items()))] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("straight_terms", "skew_drop_terms", "skew_rise_terms"):
+        monkeypatch.setattr(genfun, name, counted(getattr(genfun, name)))
+    verify._frame_terms.cache_clear()
+    try:
+        for lemma_id in verify.LEMMA_IDS:
+            for n in range(1, verify.LEMMA_BOUND + 1):
+                check_lemma(lemma_id, n, verify.LEMMA_BOUND)
+    finally:
+        verify._frame_terms.cache_clear()
+    assert sum(calls.values()) == len(calls) == 36
 
 
 def test_report_bytes_are_pinned(tmp_path, capsys):
