@@ -8,13 +8,17 @@ the length.
 
 Write u = zM and g_w = z/(1 - wz) for w in {x, y}.  Every numerator is a
 short signed sum of entries u^i g_w^j of one shared table per w, times
-powers of alpha, and every denominator a sum of powers of u, so the
-only full series products are the powers of u.  Each term is then one
-exact series division.  Straight term 3, skew-drop term 2 and skew-rise
-term 4 divide by (w + alpha u)(1 + w u), which M's equation
-M = 1 + (x+y) u + alpha u^2 turns into M (w + (alpha - xy) z): those
-numerators are multiplied by 1/M = 1 - (x+y) z - alpha z u and divided
-by the two-term line w + (alpha - xy) z.
+powers of alpha, so the only full series products are the powers of u,
+and each numerator is built in one multiply-accumulate pass per
+coefficient.  M's equation M = 1 + (x+y) u + alpha u^2 turns most
+denominators into lines: (w + alpha u)(1 + w u) = M line_w with the
+two-term line_w = w + (alpha - xy) z, u / M = z, 1 - alpha u^2 = M S with
+S = 1 - (x+y) z - 2 alpha z u, and u' = M / S.  So the terms over
+(w + alpha u)(1 + w u), (1 + xu)(1 + yu) and, for pure powers of u,
+(1 + wu)(1 - alpha u^2) are each one division by line_w or by the
+three-term line_x line_y (SeriesBlocks.gap_over_m, over_xu_yu and
+over_wu_ms).  Only skew-drop terms 3, 4 and 5, whose numerators are table
+entries, still divide by a dense sum of powers of u.
 
 frame_terms picks the term builder of a frame (f, t): straight for
 f = 0, drop for t < f, rise for t >= f.  The entry points sum its terms:
@@ -29,8 +33,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
 
-from svtab.series import (ALPHA, ONE, X, Y, MultiPoly, ZSeries, solve_M,
-                          substitution_cache)
+from svtab.series import (ALPHA, ONE, X, Y, ZERO, MultiPoly, ZSeries,
+                          solve_M, substitution_cache)
 
 
 class Chain:
@@ -77,10 +81,6 @@ class GeomTable:
             row = self._rows[i] = Chain([self._zm_pow[i]], self._step)
         return row
 
-    def gap(self, i: int, j: int) -> ZSeries:
-        """u^i (u^j - g^j), the difference that several numerators share."""
-        return self._zm_pow[i + j] - self[i][j]
-
 
 class SeriesBlocks:
     """Shared sub-expressions for one (order, substitution) pair.
@@ -110,37 +110,95 @@ class SeriesBlocks:
         self.geom_y_pow = self.table_y[0]
         self.geom_x = self.geom_x_pow[1]   # z/(1-xz)
         self.geom_y = self.geom_y_pow[1]   # z/(1-yz)
-        self.az2m2 = self.zm_pow[2].scale(self.alpha_poly)
-        self.one_minus_az2m2 = self.one - self.az2m2
         # (w + alpha u)(1 + w u) = M line_w: the two-term lines
-        slope = self.z.scale(self.alpha_poly - self.x_poly * self.y_poly)
+        self.slope_poly = self.alpha_poly - self.x_poly * self.y_poly
+        slope = self.z.scale(self.slope_poly)
         self.line_x = ZSeries.constant(self.x_poly, order) + slope
         self.line_y = ZSeries.constant(self.y_poly, order) + slope
+        self._over_ms: dict[int, ZSeries] = {}
+
+    def combine(self, *parts: tuple[MultiPoly, int, ZSeries]) -> ZSeries:
+        """The sum of c z^j s over the parts (c, j, s).
+
+        Each coefficient is one multiply-accumulate pass, with no partial
+        series in between.
+        """
+        parts = [(c, j, s.coeffs) for c, j, s in parts if c]
+        return ZSeries(self.order, [
+            MultiPoly.sum_of_products((c, s[k - j]) for c, j, s in parts
+                                      if k >= j)
+            for k in range(self.order + 1)])
+
+    def gap_over_m(self, table: GeomTable, i: int, j: int,
+                   c: MultiPoly) -> ZSeries:
+        """c u^i (u^j - g^j) / M for i >= 1, which is c z u^(i-1) (u^j - g^j)."""
+        return self.combine((c, 1, self.zm_pow[i - 1 + j]),
+                            (-c, 1, table[i - 1][j]))
+
+    def over_ms(self, j: int) -> ZSeries:
+        """P_j = u^j / (1 - alpha u^2) for j >= 1, built once per j.
+
+        1 - alpha u^2 = M S with S = 1 - (x+y) z - 2 alpha z u, and
+        differentiating u = z M in z gives u' = M / S, so
+        P_j = z^2 u^(j-2) u' = z^2 (u^(j-1))' / (j-1) for j >= 2: its z^n
+        coefficient is (n-1)/(j-1) times that of u^(j-1), an exact
+        division.  P_1 = u + alpha P_3, since P_j - alpha P_(j+2) = u^j.
+        """
+        p = self._over_ms.get(j)
+        if p is None:
+            if j == 1:
+                p = self.combine((ONE, 0, self.zm), (self.alpha_poly, 0,
+                                                     self.over_ms(3)))
+            else:
+                m = MultiPoly.const(j - 1)
+                p = ZSeries(self.order, [ZERO] + [
+                    (c * n).divexact(m) for n, c in
+                    enumerate(self.zm_pow[j - 1].coeffs[:-1])])
+            self._over_ms[j] = p
+        return p
+
+    def over_wu_ms(self, w: MultiPoly, line: ZSeries,
+                   *pieces: tuple[MultiPoly, int]) -> ZSeries:
+        """The sum of c u^k / ((1 + w u)(1 - alpha u^2)) over (c, k), k >= 2.
+
+        1/(1 + w u) = (w + alpha u) / (M line_w) and u^k / M = z u^(k-1),
+        so each piece is c z (w P_(k-1) + alpha P_k) / line_w: one
+        division by the line.
+        """
+        a = self.alpha_poly
+        parts = []
+        for c, k in pieces:
+            parts += [(c * w, 1, self.over_ms(k - 1)),
+                      (c * a, 1, self.over_ms(k))]
+        return _quotient(self.combine(*parts), line)
+
+    @cached_property
+    def lines_xy(self) -> ZSeries:
+        """line_x line_y = xy + (x+y) s z + s^2 z^2 for s = alpha - xy."""
+        x, y, s = self.x_poly, self.y_poly, self.slope_poly
+        coeffs = [x * y, (x + y) * s, s * s] + [ZERO] * self.order
+        return ZSeries(self.order, coeffs[:self.order + 1])
+
+    def over_xu_yu(self, c: MultiPoly, k: int) -> ZSeries:
+        """c u^k / ((1 + x u)(1 + y u)) for k >= 2.
+
+        By M's equation (x + alpha u)(y + alpha u) = alpha M - s, so the
+        term is c z^2 (alpha M - s) u^(k-2) / (line_x line_y)
+        = c z (alpha u^(k-1) - s z u^(k-2)) / (line_x line_y).  Dividing
+        by one line and then the other would leave the first quotient's
+        top coefficient unknown where that line has valuation 1.
+        """
+        zm_pow = self.zm_pow
+        num = self.combine((c * self.alpha_poly, 1, zm_pow[k - 1]),
+                           (-(c * self.slope_poly), 2, zm_pow[k - 2]))
+        return _quotient(num, self.lines_xy)
+
+    # The dense denominators left, each built on first use.
 
     def _zm_sum(self, *coeffs: MultiPoly) -> ZSeries:
         """coeffs[0] + coeffs[1] u + coeffs[2] u^2 + ... for u = zM."""
-        total = ZSeries.constant(coeffs[0], self.order)
-        for i, c in enumerate(coeffs[1:], 1):
-            total = total + self.zm_pow[i].scale(c)
-        return total
-
-    def gap_over_m(self, table: GeomTable, i: int, j: int) -> ZSeries:
-        """u^i (u^j - g^j) / M from table entries alone.
-
-        1/M = 1 - (x+y) z - alpha z u, and the numerator times u is the
-        same difference one row further down.
-        """
-        p, pu = table.gap(i, j), table.gap(i + 1, j)
-        return p - (p.scale(self.x_poly + self.y_poly)
-                    + pu.scale(self.alpha_poly)).shift(1)
-
-    # The dense denominators the term builders divide by, each built on
-    # first use.
-
-    @cached_property
-    def den_yzm_xzm(self) -> ZSeries:
-        x, y = self.x_poly, self.y_poly
-        return self._zm_sum(ONE, x + y, x * y)
+        return self.combine(*((c, 0, self.zm_pow[i])
+                              for i, c in enumerate(coeffs)))
 
     @cached_property
     def den_xazm_az2m2(self) -> ZSeries:
@@ -152,10 +210,17 @@ class SeriesBlocks:
         x, a = self.x_poly, self.alpha_poly
         return self._zm_sum(ONE, x, -a, -(x * a))
 
-    @cached_property
-    def den_yzm_az2m2(self) -> ZSeries:
-        y, a = self.y_poly, self.alpha_poly
-        return self._zm_sum(ONE, y, -a, -(y * a))
+
+def _quotient(num: ZSeries, den: ZSeries) -> ZSeries:
+    """num / den, where a vanished divisor over a zero numerator gives 0.
+
+    A line, line_x line_y or (x + alpha u)(1 - alpha u^2) vanishes only
+    where alpha = 0 and x or y is 0, and every numerator over one of them
+    carries a factor alpha, so the term is 0 there.
+    """
+    if den.is_zero() and num.is_zero():
+        return num
+    return num.exact_divide(den)
 
 
 # One entry: callers ask for the same (order, substitution) many times in
@@ -171,11 +236,12 @@ def series_blocks(order: int, x_val: Optional[int] = None,
     return SeriesBlocks(order, x_val, y_val, alpha_val)
 
 
-# At x = 0 or y = 0 some denominators have valuation 1, so an exact division
-# leaves its top quotient coefficient unknown: the term builders read blocks
-# one order further there and _cut their terms back to order.
+# At x = 0 or y = 0 some denominators have valuation 1 (line_x line_y has
+# valuation 2 where both are 0), so an exact division leaves its top
+# quotient coefficients unknown: the term builders read blocks one order
+# further per zero and _cut their terms back to order.
 def _blocks(order: int, *subs: Optional[int]) -> SeriesBlocks:
-    return series_blocks(order + (0 in subs[:2]), *subs)
+    return series_blocks(order + subs[:2].count(0), *subs)
 
 
 def _cut(order: int, *terms: ZSeries) -> tuple[ZSeries, ...]:
@@ -195,8 +261,8 @@ def straight_terms(t: int, order: int, x_val: Optional[int] = None,
     b = _blocks(order, x_val, y_val, alpha_val)
     a = b.alpha_poly
     term1 = b.geom_x_pow[t]
-    term2 = b.zm_pow[t + 2].scale(a).exact_divide(b.den_yzm_xzm)
-    term3 = b.gap_over_m(b.table_x, 1, t).scale(a).exact_divide(b.line_y)
+    term2 = b.over_xu_yu(a, t + 2)
+    term3 = _quotient(b.gap_over_m(b.table_x, 1, t, a), b.line_y)
     return _cut(order, term1, term2, term3)
 
 
@@ -214,19 +280,20 @@ def skew_drop_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
     b = _blocks(order, x_val, y_val, alpha_val)
     a = b.alpha_poly
     ty, zm_pow = b.table_y, b.zm_pow
+    c, ct = a ** (f - t + 1), a ** (f + 1)   # ct = c alpha^t
     term1 = b.geom_y_pow[f - t].scale(a ** (f - t))
-    term2 = b.gap_over_m(ty, t + 1, f).scale(a ** (f + 1)).exact_divide(
-        b.line_x)
-    term3 = (ty.gap(1, f - t) - ty.gap(2 * t + 1, f - t).scale(a ** t)
-             ).scale(a ** (f - t + 1)).exact_divide(b.den_xazm_az2m2)
-    term4 = (ty[2][f - t] - ty[t + 2][f].scale(a ** t)
-             ).scale(a ** (f - t + 1)).exact_divide(b.den_xzm_az2m2)
-    term5 = (ty[t + 1][f] - ty[2 * t + 1][f - t]).scale(
-        a ** (f + 1)).exact_divide(b.den_xazm_az2m2)
-    term6 = zm_pow[f + t + 2].scale(a ** (f + 1)).exact_divide(
-        b.den_yzm_xzm)
-    term7 = (zm_pow[f - t + 2] - zm_pow[f + t + 2].scale(a ** t)
-             ).scale(a ** (f - t + 1)).exact_divide(b.den_yzm_az2m2)
+    term2 = _quotient(b.gap_over_m(ty, t + 1, f, ct), b.line_x)
+    term3 = _quotient(b.combine(
+        (c, 0, zm_pow[f - t + 1]), (-c, 0, ty[1][f - t]),
+        (-ct, 0, zm_pow[f + t + 1]), (ct, 0, ty[2 * t + 1][f - t])),
+        b.den_xazm_az2m2)
+    term4 = _quotient(b.combine((c, 0, ty[2][f - t]), (-ct, 0, ty[t + 2][f])),
+                      b.den_xzm_az2m2)
+    term5 = _quotient(b.combine((ct, 0, ty[t + 1][f]),
+                                (-ct, 0, ty[2 * t + 1][f - t])),
+                      b.den_xazm_az2m2)
+    term6 = b.over_xu_yu(ct, f + t + 2)
+    term7 = b.over_wu_ms(b.y_poly, b.line_y, (c, f - t + 2), (-ct, f + t + 2))
     return _cut(order, term1, term2, term3, term4, term5, term6, term7)
 
 
@@ -240,17 +307,12 @@ def skew_rise_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
         raise ValueError(f"order {order} is below the valuation t-f={t - f}")
     b = _blocks(order, x_val, y_val, alpha_val)
     a = b.alpha_poly
-    zm_pow = b.zm_pow
+    ct = a ** (f + 1)
     term1 = b.geom_x_pow[t - f]
-    term2 = (zm_pow[t - f + 2].scale(a)
-             - zm_pow[f + t + 2].scale(a ** (f + 1))
-             ).exact_divide(b.den_xzm_az2m2)
-    term3 = zm_pow[f + t + 2].scale(a ** (f + 1)).exact_divide(
-        b.den_yzm_xzm)
-    term4 = b.gap_over_m(b.table_x, 1, t - f).scale(a).exact_divide(
-        b.line_y)
-    term5 = (zm_pow[t - f + 2] - zm_pow[t + f + 2].scale(a ** f)
-             ).scale(a).exact_divide(b.den_yzm_az2m2)
+    term2 = b.over_wu_ms(b.x_poly, b.line_x, (a, t - f + 2), (-ct, f + t + 2))
+    term3 = b.over_xu_yu(ct, f + t + 2)
+    term4 = _quotient(b.gap_over_m(b.table_x, 1, t - f, a), b.line_y)
+    term5 = b.over_wu_ms(b.y_poly, b.line_y, (a, t - f + 2), (-ct, f + t + 2))
     return _cut(order, term1, term2, term3, term4, term5)
 
 

@@ -179,13 +179,14 @@ def test_series_rational_specialization(capsys):
 
 # sha256 over `svtab series` at order 4 for every straight frame t <= 2 and
 # skew frame f <= 3, t <= 3, with x, y and alpha each unset, 0, 1 or -1:
-# argv, exit code, stdout and stderr of all 960 calls, 60 of them errors
-# (a zero denominator).  Taken after the term builders began dividing one
-# order further where x = 0 or y = 0, which changed the z^4 line of 102
-# calls; test_specialized_build_agrees_with_symbolic checks those
-# coefficients against the substituted symbolic series.
+# argv, exit code, stdout and stderr of all 960 calls, none of them errors.
+# Taken after the terms over a divisor that vanishes (alpha = 0 and x or y
+# = 0) became 0, which turned the 60 calls that exited 1 with "division by
+# the zero series" into series and left the other 900 byte-identical;
+# test_specialized_build_agrees_with_symbolic checks every term under these
+# substitutions against the substituted symbolic series.
 SUBSTITUTION_GRID_SHA256 = (
-    "15a8ae79d5ea67a80eb4ceaabdc80a3e118f54c19fe412ba001544629e0c95be")
+    "81b54818500fbef822e9888cd1497934820cf940c9c327815669036c2c1e13d0")
 
 
 def test_series_substitution_grid_bytes_are_pinned(capsys):

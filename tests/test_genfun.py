@@ -19,7 +19,7 @@ from svtab.genfun import (
     straight_terms,
 )
 from svtab.paths import count_paths, weight_counts
-from svtab.series import ALPHA, X, Y, ZSeries, solve_M
+from svtab.series import ALPHA, ONE, X, Y, ZSeries, solve_M
 
 
 ORDER = 7
@@ -56,21 +56,19 @@ def test_skew_rise_series_matches_paths():
 
 def test_specialized_build_agrees_with_symbolic():
     # Every frame f, t <= 3 at every order up to 9, under every
-    # substitution of x, y and alpha in {unset, 0, 1, -1} that builds: each
+    # substitution of x, y and alpha in {unset, 0, 1, -1}: each
     # displayed term, whose sum gf_straight and gf_skew return, equals the
     # substituted symbolic one.  The harness reads only the symbolic
     # series, so this keeps the specialized pipeline checked against it.
-    # At x = 0 or y = 0 some denominators have valuation 1, and the top
-    # coefficient must still be right.
+    # At x = 0 or y = 0 some divisors have valuation 1 or 2, and the top
+    # coefficient must still be right; where alpha = 0 as well some vanish,
+    # and every term over one of them is 0.
     frames = [(f, t, order) for order in range(10) for f in range(4)
               for t in range(4) if abs(t - f) <= order]
     symbolic = {frame: frame_terms(*frame) for frame in frames}
     for subs in itertools.product((None, 0, 1, -1), repeat=3):
         for frame in frames:
-            try:
-                got = frame_terms(*frame, *subs)
-            except ArithmeticError:
-                continue
+            got = frame_terms(*frame, *subs)
             want = tuple(term.substitute(*subs) for term in symbolic[frame])
             assert got == want, (frame, subs)
 
@@ -146,8 +144,6 @@ def test_expected_downsteps_against_oracle():
 def test_blocks_internal_consistency():
     b = SeriesBlocks(6)
     assert (b.geom_x * (b.one - b.z.scale(X))) == b.z
-    # the quadratic identity that pins m also links the shared blocks
-    assert b.one_minus_az2m2 + b.az2m2 == b.one
     assert b.zm == b.m.shift(1)
 
 
@@ -169,8 +165,13 @@ def test_series_blocks_are_shared():
 
 # sha256 of ZSeries.dump() above the verify grid's order 12: symbolic
 # gf_straight(t, 24) and gf_skew(f, t, 18), and both at x = y = alpha = 1
-# to order 48; taken from the term-by-term series products
+# to order 48, taken from the term-by-term series products; and symbolic
+# gf_straight(0, 40) and gf_skew(1, 3, 30), taken while the term builders
+# still divided by the dense (1 + x zM)(1 + y zM) and
+# (1 + w zM)(1 - alpha (zM)^2)
 DUMP_SHA256 = {
+    ("straight", 0, 0, 40, None): "cbf2ca581f4f378e7b227eb3d71c1f91d40dfba4bea54e01ef7edbfe9e9d9a13",
+    ("skew", 1, 3, 30, None): "c0cd5641e17acede1c325ab7a48cea32cc7d1ccc50fec4027cdf3ddce5bc6572",
     ("straight", 0, 0, 24, None): "f00d265342113afaa810679430ba990861ab32358395c0ef5523422540cae424",
     ("straight", 0, 1, 24, None): "eda8a2bd0aeccdfe5ff8be261aaf01ceb89010498ece488a20d4a18f63b2b2e3",
     ("straight", 0, 2, 24, None): "ac57ba11c35b05f7b16cd74e42999f6ecc2a5a718ca72cba18f6702482e29813",
@@ -268,47 +269,52 @@ class _Reference:
     def straight(self, t):
         a, p = self.a, self.p
         return (p("gx", t),
-                p("zm", t + 2).scale(a).exact_divide(
-                    self.den_yzm_xzm),
-                (p("zm", 1).scale(a) * (p("zm", t) - p("gx", t))).exact_divide(
-                    self.den_yazm_yzm))
+                _divide(p("zm", t + 2).scale(a), self.den_yzm_xzm),
+                _divide(p("zm", 1).scale(a) * (p("zm", t) - p("gx", t)),
+                        self.den_yazm_yzm))
 
     def drop(self, f, t):
         a, p, one = self.a, self.p, self.one
         one_minus_az2m2_t = one - p("zm", 2 * t).scale(a ** t)
         term1 = p("gy", f - t).scale(a ** (f - t))
-        term2 = (p("zm", t + 1) * (p("zm", f) - p("gy", f))).scale(
-            a ** (f + 1)).exact_divide(self.den_xzm_xazm)
-        term3 = (p("zm", 1).scale(a ** (f - t + 1))
-                 * (p("zm", f - t) - p("gy", f - t))
-                 * one_minus_az2m2_t).exact_divide(
-                     self.den_xazm_az2m2)
-        term4 = (term1 * (one - p("ratio_y", t)) * self.az2m2).exact_divide(
-            self.den_xzm_az2m2)
-        term5 = -(p("gy", f - t).scale(a ** (f + 1))
-                  * (p("zm", t) - p("gy", t))
-                  * p("zm", t + 1)).exact_divide(
-                      self.den_xazm_az2m2)
-        term6 = p("zm", f + t + 2).scale(a ** (f + 1)).exact_divide(
-            self.den_yzm_xzm)
-        term7 = (one_minus_az2m2_t
-                 * p("zm", f - t + 2).scale(a ** (f - t + 1))).exact_divide(
-                     self.den_yzm_az2m2)
+        term2 = _divide((p("zm", t + 1) * (p("zm", f) - p("gy", f))).scale(
+            a ** (f + 1)), self.den_xzm_xazm)
+        term3 = _divide(p("zm", 1).scale(a ** (f - t + 1))
+                        * (p("zm", f - t) - p("gy", f - t))
+                        * one_minus_az2m2_t, self.den_xazm_az2m2)
+        term4 = _divide(term1 * (one - p("ratio_y", t)) * self.az2m2,
+                        self.den_xzm_az2m2)
+        term5 = -_divide(p("gy", f - t).scale(a ** (f + 1))
+                         * (p("zm", t) - p("gy", t))
+                         * p("zm", t + 1), self.den_xazm_az2m2)
+        term6 = _divide(p("zm", f + t + 2).scale(a ** (f + 1)),
+                        self.den_yzm_xzm)
+        term7 = _divide(one_minus_az2m2_t
+                        * p("zm", f - t + 2).scale(a ** (f - t + 1)),
+                        self.den_yzm_az2m2)
         return term1, term2, term3, term4, term5, term6, term7
 
     def rise(self, f, t):
         a, p, one = self.a, self.p, self.one
         return (p("gx", t - f),
-                (p("zm", t - f + 2).scale(a)
-                 - p("zm", f + t + 2).scale(a ** (f + 1))).exact_divide(
-                     self.den_xzm_az2m2),
-                p("zm", f + t + 2).scale(a ** (f + 1)).exact_divide(
-                    self.den_yzm_xzm),
-                (p("zm", 1).scale(a) * (p("zm", t - f) - p("gx", t - f))
-                 ).exact_divide(self.den_yazm_yzm),
-                (p("zm", t - f + 2).scale(a)
-                 * (one - p("zm", 2 * f).scale(a ** f))).exact_divide(
-                     self.den_yzm_az2m2))
+                _divide(p("zm", t - f + 2).scale(a)
+                        - p("zm", f + t + 2).scale(a ** (f + 1)),
+                        self.den_xzm_az2m2),
+                _divide(p("zm", f + t + 2).scale(a ** (f + 1)),
+                        self.den_yzm_xzm),
+                _divide(p("zm", 1).scale(a) * (p("zm", t - f) - p("gx", t - f)),
+                        self.den_yazm_yzm),
+                _divide(p("zm", t - f + 2).scale(a)
+                        * (one - p("zm", 2 * f).scale(a ** f)),
+                        self.den_yzm_az2m2))
+
+
+def _divide(num, den):
+    # A displayed denominator vanishes only where alpha = 0 and x or y is 0,
+    # and every numerator over one carries a factor alpha: the term is 0.
+    if den.is_zero() and num.is_zero():
+        return num
+    return num.exact_divide(den)
 
 
 def _term_outcome(build, *args):
@@ -349,8 +355,11 @@ def test_terms_match_the_displayed_products():
 
 
 def test_m_equation_identities():
-    # (w + alpha zM)(1 + w zM) = M (w + (alpha - xy) z) for w in {x, y}, and
-    # M (1 - (x+y) z - alpha z zM) = 1, also where alpha or w is 0
+    # (w + alpha zM)(1 + w zM) = M (w + (alpha - xy) z) for w in {x, y},
+    # M (1 - (x+y) z - alpha z zM) = 1, S u' = M for u = zM and
+    # S = 1 - (x+y) z - 2 alpha z u, and the quotients the term builders
+    # take by lines times the denominators they stand for, also where
+    # alpha or w is 0
     for subs in [(None, None, None), (None, None, 0), (0, None, None),
                  (None, 0, None), (0, None, 0), (None, 0, 0), (0, 0, 0),
                  (-1, 2, None), (1, 1, 1)]:
@@ -363,9 +372,51 @@ def test_m_equation_identities():
             assert (w_series + zm.scale(a)) * (one + zm.scale(w)) == \
                 m * line, subs
         assert m * (one - z.scale(x + y) - zm.shift(1).scale(a)) == one, subs
+        s = one - z.scale(x + y) - zm.shift(1).scale(2 * a)
+        assert s.truncate(8) * zm.z_derivative() == m.truncate(8), subs
         for table in (b.table_x, b.table_y):
             for i, j in ((1, 0), (1, 3), (3, 2)):
-                assert b.gap_over_m(table, i, j) * m == table.gap(i, j), subs
+                assert b.gap_over_m(table, i, j, ONE) * m == \
+                    b.zm_pow[i + j] - table[i][j], subs
+        one_minus_au2 = one - b.zm_pow[2].scale(a)
+        for j in range(1, 6):
+            assert b.over_ms(j) * one_minus_au2 == b.zm_pow[j], (subs, j)
+        # a divisor of valuation v leaves the top v quotient coefficients
+        # unknown; each numerator carries alpha, as in the term builders
+        known = 9 - subs[:2].count(0)
+        for c, k in ((a, 2), (a ** 3 * x, 5)):
+            got = b.over_xu_yu(c, k) * (one + zm.scale(x)) * (one + zm.scale(y))
+            assert got.truncate(known) == \
+                b.zm_pow[k].scale(c).truncate(known), (subs, c, k)
+        for w, line in ((x, b.line_x), (y, b.line_y)):
+            pieces = ((a, 2), (-a ** 2, 4), (a * y, 5))
+            got = (b.over_wu_ms(w, line, *pieces) * (one + zm.scale(w))
+                   * one_minus_au2)
+            want = b.combine(*((c, 0, b.zm_pow[k]) for c, k in pieces))
+            assert got.truncate(known) == want.truncate(known), (subs, w)
+
+
+def test_straight_and_rise_terms_divide_only_by_short_series(monkeypatch):
+    # Every straight and skew-rise term, and skew-drop term 7, divides by a
+    # line, line_x line_y or 1 - wz: no divisor has more than three nonzero
+    # coefficients.  Skew-drop terms 3, 4 and 5 still divide by dense sums of
+    # powers of zM.
+    sizes = []
+    divide = ZSeries.exact_divide
+
+    def recording(num, den):
+        sizes.append(sum(1 for c in den.coeffs if c))
+        return divide(num, den)
+    monkeypatch.setattr(ZSeries, "exact_divide", recording)
+    for subs in ((None, None, None), (0, None, None), (1, 1, None)):
+        for f, t in ((0, 0), (0, 3), (1, 1), (1, 3), (2, 3)):
+            sizes.clear()
+            frame_terms(f, t, 10, *subs)
+            assert sizes and max(sizes) <= 3, (f, t, subs)
+        for f, t in ((1, 0), (3, 1)):
+            sizes.clear()
+            frame_terms(f, t, 10, *subs)
+            assert sum(1 for n in sizes if n > 3) == 3, (f, t, subs)
 
 
 def test_table_entries_are_the_products():
@@ -373,5 +424,4 @@ def test_table_entries_are_the_products():
     for table, geom in ((b.table_x, b.geom_x), (b.table_y, b.geom_y)):
         for i, j in ((0, 0), (0, 3), (2, 0), (1, 2), (3, 4)):
             assert table[i][j] == b.zm ** i * geom ** j
-        assert table.gap(2, 3) == b.zm ** 2 * (b.zm ** 3 - geom ** 3)
     assert b.table_x[0] is b.geom_x_pow and b.table_y[0] is b.geom_y_pow
