@@ -6,13 +6,14 @@ closed expressions so that each term can also be checked on its own.
 x marks umber horizontals, y denim horizontals, alpha down-steps, and z
 the length.
 
-Write u = zM and g_w = z/(1 - wz) for w in {x, y}.  Every numerator is a
-short signed sum of entries u^i g_w^j of one shared table per w, times
-powers of alpha, so the only full series products are the powers of u,
-and each numerator is built in one multiply-accumulate pass per
-coefficient.  M's equation M = 1 + (x+y) u + alpha u^2 turns most
-denominators into lines: (w + alpha u)(1 + w u) = M line_w with the
-two-term line_w = w + (alpha - xy) z, u / M = z, 1 - alpha u^2 = M S with
+Write u = zM and g_w = z/(1 - wz) for w in {x, y}.  The powers of u come
+in closed form by Lagrange inversion (series.zm_power), and every
+numerator is a short signed sum of entries u^i g_w^j of one shared table
+per w, times powers of alpha, so no term multiplies two series: each
+numerator is built in one multiply-accumulate pass per coefficient.
+M's equation M = 1 + (x+y) u + alpha u^2 turns most denominators into
+lines: (w + alpha u)(1 + w u) = M line_w with the two-term
+line_w = w + (alpha - xy) z, u / M = z, 1 - alpha u^2 = M S with
 S = 1 - (x+y) z - 2 alpha z u, and u' = M / S.  So the terms over
 (w + alpha u)(1 + w u), (1 + xu)(1 + yu) and, for pure powers of u,
 (1 + wu)(1 - alpha u^2) are each one division by line_w or by the
@@ -34,52 +35,21 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from svtab.series import (ALPHA, ONE, X, Y, ZERO, MultiPoly, ZSeries,
-                          solve_M, substitution_cache)
+                          substitution_cache, zm_power)
 
 
-class Chain:
-    """A sequence grown on demand, each entry one step from the last.
+class Table(dict):
+    """Entries k >= 0, each built once on first use as build(table, k)."""
 
-    Every entry up to the largest asked for is built once.
-    """
+    def __init__(self, build: Callable[["Table", int], object]):
+        super().__init__()
+        self._build = build
 
-    __slots__ = ("_table", "_step")
-
-    def __init__(self, start: list[ZSeries],
-                 step: Callable[[ZSeries], ZSeries]):
-        self._table = start
-        self._step = step
-
-    def __getitem__(self, k: int) -> ZSeries:
+    def __missing__(self, k: int):
         if k < 0:
             raise ValueError("negative series power")
-        table = self._table
-        while len(table) <= k:
-            table.append(self._step(table[-1]))
-        return table[k]
-
-
-class GeomTable:
-    """The products u^i g^j for u = zM and g = z/(1 - wz), one w per table.
-
-    table[i][j] is u^i g^j.  Row i starts at u^i, taken from the shared
-    powers of u, and each step along it multiplies by g as one shift and
-    one division by the two-term series 1 - wz: O(order) coefficient
-    steps instead of a series product.
-    """
-
-    __slots__ = ("_zm_pow", "_step", "_rows")
-
-    def __init__(self, zm_pow: Chain, one_minus_wz: ZSeries):
-        self._zm_pow = zm_pow
-        self._step = lambda s: s.shift(1).exact_divide(one_minus_wz)
-        self._rows: dict[int, Chain] = {}
-
-    def __getitem__(self, i: int) -> Chain:
-        row = self._rows.get(i)
-        if row is None:
-            row = self._rows[i] = Chain([self._zm_pow[i]], self._step)
-        return row
+        entry = self[k] = self._build(self, k)
+        return entry
 
 
 class SeriesBlocks:
@@ -99,13 +69,11 @@ class SeriesBlocks:
         self.alpha_poly = ALPHA.substitute(alpha=alpha_val)
         self.one = ZSeries.one(order)
         self.z = ZSeries.z(order)
-        self.m = solve_M(order, x_val, y_val, alpha_val)
-        zm = self.zm = self.m.shift(1)
-        self.zm_pow = Chain([self.one, zm], lambda s: s * zm)
-        self.table_x = GeomTable(self.zm_pow,
-                                 self.one - self.z.scale(self.x_poly))
-        self.table_y = GeomTable(self.zm_pow,
-                                 self.one - self.z.scale(self.y_poly))
+        subs = (x_val, y_val, alpha_val)
+        self.zm_pow = Table(lambda _, k: zm_power(k, order, *subs))
+        self.zm = self.zm_pow[1]
+        self.table_x = self._geom_table(self.x_poly)
+        self.table_y = self._geom_table(self.y_poly)
         self.geom_x_pow = self.table_x[0]
         self.geom_y_pow = self.table_y[0]
         self.geom_x = self.geom_x_pow[1]   # z/(1-xz)
@@ -116,6 +84,20 @@ class SeriesBlocks:
         self.line_x = ZSeries.constant(self.x_poly, order) + slope
         self.line_y = ZSeries.constant(self.y_poly, order) + slope
         self._over_ms: dict[int, ZSeries] = {}
+
+    def _geom_table(self, w: MultiPoly) -> Table:
+        """The products u^i g^j for g = z/(1 - wz): table[i][j].
+
+        Row i starts at u^i, and each step along it multiplies by g as one
+        shift and one division by the two-term series 1 - wz: O(order)
+        coefficient steps instead of a series product.
+        """
+        # the builders hold no reference to self, so a dropped blocks
+        # object is freed at once, not by the cycle collector
+        zm_pow, one_minus_wz = self.zm_pow, self.one - self.z.scale(w)
+        return Table(lambda _, i: Table(
+            lambda row, j: zm_pow[i] if j == 0 else
+            row[j - 1].shift(1).exact_divide(one_minus_wz)))
 
     def combine(self, *parts: tuple[MultiPoly, int, ZSeries]) -> ZSeries:
         """The sum of c z^j s over the parts (c, j, s).
@@ -129,7 +111,7 @@ class SeriesBlocks:
                                       if k >= j)
             for k in range(self.order + 1)])
 
-    def gap_over_m(self, table: GeomTable, i: int, j: int,
+    def gap_over_m(self, table: Table, i: int, j: int,
                    c: MultiPoly) -> ZSeries:
         """c u^i (u^j - g^j) / M for i >= 1, which is c z u^(i-1) (u^j - g^j)."""
         return self.combine((c, 1, self.zm_pow[i - 1 + j]),
@@ -226,8 +208,8 @@ def _quotient(num: ZSeries, den: ZSeries) -> ZSeries:
 # One entry: callers ask for the same (order, substitution) many times in
 # a row and seldom come back to an older one (verify --max-n 12 builds 12
 # blocks for 189 requests, 7 of them distinct), while an order-24 symbolic
-# set holds about 3.6 MB once its tables serve the straight frames t <= 3
-# and three skew frames (tracemalloc).
+# set holds about 2.8 MB once its tables serve the straight frames t <= 3
+# and the skew frames (1, 3), (2, 0) and (3, 1) (tracemalloc).
 @substitution_cache(maxsize=1)
 def series_blocks(order: int, x_val: Optional[int] = None,
                   y_val: Optional[int] = None,

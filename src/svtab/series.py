@@ -7,15 +7,19 @@ every step of the coefficient recursion divides exactly.  A failed
 division raises NonExactDivision, which in this package always means a
 generating-function expression was transcribed wrongly.
 
-The module also solves the functional equation for the height-0 weight
-series M(z) in one pass over its coefficients and provides the Lagrange
-reversion self-check.
+The module also gives the powers of u = zM, where M(z) is the height-0
+weight series, in closed form by Lagrange inversion (M is the first
+power shifted down by one), and the reversion self-check, which tests
+that closed form against M's functional equation with series products.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, wraps
+from itertools import accumulate
+from math import comb
+from operator import mul
 from typing import Iterable, Optional
 
 
@@ -24,22 +28,6 @@ class NonExactDivision(ArithmeticError):
 
 
 _VAR_NAMES = ("x", "y", "alpha")
-
-
-def _power(base, k: int, one):
-    """base**k by binary powering, for k >= 0.
-
-    The first factor is taken as it is, not multiplied into one, and the
-    base is not squared again after the top bit of k.
-    """
-    result = None
-    while True:
-        if k & 1:
-            result = base if result is None else result * base
-        k >>= 1
-        if not k:
-            return one if result is None else result
-        base = base * base
 
 
 class MultiPoly:
@@ -157,7 +145,10 @@ class MultiPoly:
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        return _power(self, k, MultiPoly.const(1))
+        out = ONE
+        for _ in range(k):
+            out = out * self
+        return out
 
     def divexact(self, other: "MultiPoly") -> "MultiPoly":
         """Exact polynomial quotient, or NonExactDivision.
@@ -342,11 +333,6 @@ class ZSeries:
                                       if k - i in right)
             for k in range(self.order + 1)])
 
-    def __pow__(self, k: int) -> "ZSeries":
-        if k < 0:
-            raise ValueError("negative series power")
-        return _power(self, k, ZSeries.one(self.order))
-
     def scale(self, poly: MultiPoly | int) -> "ZSeries":
         if isinstance(poly, int):
             poly = MultiPoly.const(poly)
@@ -464,29 +450,59 @@ def substitution_cache(maxsize: int):
     return decorate
 
 
+def zm_power(k: int, order: int, x_val: Optional[int] = None,
+             y_val: Optional[int] = None,
+             alpha_val: Optional[int] = None) -> ZSeries:
+    """u^k for u = zM, truncated at z^order, in closed form.
+
+    u solves u = z phi(u) with phi(w) = 1 + (x+y) w + alpha w^2, so
+    Lagrange inversion gives [z^n] u^k = (k/n) [w^(n-k)] phi(w)^n
+    (Flajolet and Sedgewick, Analytic Combinatorics, 2009, Thm A.2;
+    Gessel, "Lagrange inversion", JCTA 144, 2016).  With h = a + b and
+    h + 2e = n - k, the coefficient of x^a y^b alpha^e is
+    k (n-1)! / (e! h! (n-h-e)!) C(h, a), multiplied by k before the
+    division, which alone need not be exact.  Integer substitutions are
+    folded into the sum: alpha^e, and (x+y)^h at once when x and y are
+    both given.
+    """
+    if k < 0:
+        raise ValueError("negative series power")
+    if k == 0:
+        return ZSeries.one(order)
+    fact = list(accumulate(range(1, order + 1), mul, initial=1))
+    xy_val = None if x_val is None or y_val is None else x_val + y_val
+    coeffs = [ZERO] * min(k, order + 1)
+    for n in range(k, order + 1):
+        top = k * fact[n - 1]
+        out: dict[tuple[int, int, int], int] = {}
+        for e in range((n - k) // 2 + 1):
+            h = n - k - 2 * e
+            c = top // (fact[e] * fact[h] * fact[n - h - e])
+            if alpha_val is not None:
+                c, e = c * alpha_val ** e, 0
+            if xy_val is not None:
+                out[0, 0, e] = out.get((0, 0, e), 0) + c * xy_val ** h
+                continue
+            for a in range(h + 1):
+                ca, b = c * comb(h, a), h - a
+                if x_val is not None:
+                    ca, a = ca * x_val ** a, 0
+                if y_val is not None:
+                    ca, b = ca * y_val ** b, 0
+                out[a, b, e] = out.get((a, b, e), 0) + ca
+        coeffs.append(MultiPoly(out))
+    return ZSeries(order, coeffs)
+
+
 @substitution_cache(maxsize=128)
 def solve_M(order: int, x_val: Optional[int] = None, y_val: Optional[int] = None,
             alpha_val: Optional[int] = None) -> ZSeries:
-    """Solve M = 1 + (x+y) z M + alpha z^2 M^2 coefficient by coefficient.
+    """M with M = 1 + (x+y) z M + alpha z^2 M^2, truncated at z^order.
 
-    Comparing coefficients of z^k gives M_0 = 1 and
-    M_k = (x+y) M_(k-1) + alpha * sum_(i+j=k-2) M_i M_j, which only uses
-    coefficients already known, so one pass settles the truncation.  The
-    convolution is symmetric and sums each unordered pair once.  The
-    optional integer substitutions solve the specialized equation
-    directly, which keeps the coefficients small.
+    zM is zm_power(1, ...): M is that closed form shifted down by one.
     """
-    xy = (X + Y).substitute(x=x_val, y=y_val)
-    al = ALPHA.substitute(alpha=alpha_val)
-    m = [ONE]
-    for k in range(1, order + 1):
-        s = k - 2
-        conv = MultiPoly.sum_of_products(
-            (m[i], m[s - i]) for i in range((s + 1) // 2)) * 2
-        if s >= 0 and s % 2 == 0:
-            conv = conv + m[s // 2] * m[s // 2]
-        m.append(MultiPoly.sum_of_products(((xy, m[k - 1]), (al, conv))))
-    return ZSeries(order, m)
+    return ZSeries(order, zm_power(1, order + 1, x_val, y_val,
+                                   alpha_val).coeffs[1:])
 
 
 def solve_M0(order: int, x_val: Optional[int] = None, y_val: Optional[int] = None,

@@ -141,18 +141,39 @@ def test_expected_downsteps_against_oracle():
                 assert got[n] == Fraction(downs, total)
 
 
+def _power(series, k):
+    # k-fold repeated product, the reference for the power tables
+    out = ZSeries.one(series.order)
+    for _ in range(k):
+        out = out * series
+    return out
+
+
 def test_blocks_internal_consistency():
     b = SeriesBlocks(6)
     assert (b.geom_x * (b.one - b.z.scale(X))) == b.z
-    assert b.zm == b.m.shift(1)
+    assert b.zm == solve_M(6).shift(1)
 
 
 def test_blocks_power_tables_match_pow():
+    # zm_pow reads the closed form of the powers of zM, geom_*_pow steps
+    # by divisions by 1 - wz; both against repeated series products
+    for subs in ((None, None, None), (1, 1, 1), (0, None, None),
+                 (2, -1, 1)):
+        for order in (12, 24, 36):
+            b = SeriesBlocks(order, *subs)
+            zm = solve_M(order, *subs).shift(1)
+            assert b.zm == zm, (subs, order)
+            power = ZSeries.one(order)
+            for k in range(10):
+                assert b.zm_pow[k] == power, (subs, order, k)
+                power = power * zm
     b = SeriesBlocks(6)
     for k in (5, 0, 2, 7):
-        assert b.zm_pow[k] == b.zm ** k
-        assert b.geom_x_pow[k] == b.geom_x ** k
-        assert b.geom_y_pow[k] == b.geom_y ** k
+        assert b.geom_x_pow[k] == _power(b.geom_x, k)
+        assert b.geom_y_pow[k] == _power(b.geom_y, k)
+    with pytest.raises(ValueError, match="negative series power"):
+        b.zm_pow[-1]
 
 
 def test_series_blocks_are_shared():
@@ -168,8 +189,12 @@ def test_series_blocks_are_shared():
 # to order 48, taken from the term-by-term series products; and symbolic
 # gf_straight(0, 40) and gf_skew(1, 3, 30), taken while the term builders
 # still divided by the dense (1 + x zM)(1 + y zM) and
-# (1 + w zM)(1 - alpha (zM)^2)
+# (1 + w zM)(1 - alpha (zM)^2); and symbolic gf_straight(0, 60) and
+# gf_skew(1, 3, 36), taken at commit 2a29348, while the powers of zM were
+# still series products and M was solved by its convolution recurrence
 DUMP_SHA256 = {
+    ("straight", 0, 0, 60, None): "b23d8d49fe52b9f7eb3c0fdef384e3041fb87ec56c11aaeb662f19b80a19b17a",
+    ("skew", 1, 3, 36, None): "09a8aa3737c972a94c506b0ee3964d6c8fe2d7b57fce2bf19fa33ac8a543c59c",
     ("straight", 0, 0, 40, None): "cbf2ca581f4f378e7b227eb3d71c1f91d40dfba4bea54e01ef7edbfe9e9d9a13",
     ("skew", 1, 3, 30, None): "c0cd5641e17acede1c325ab7a48cea32cc7d1ccc50fec4027cdf3ddce5bc6572",
     ("straight", 0, 0, 24, None): "f00d265342113afaa810679430ba990861ab32358395c0ef5523422540cae424",
@@ -256,7 +281,7 @@ class _Reference:
 
     def p(self, base, k):
         if (base, k) not in self.powers:
-            self.powers[base, k] = self.bases[base] ** k
+            self.powers[base, k] = _power(self.bases[base], k)
         return self.powers[base, k]
 
     def terms(self, f, t):
@@ -365,7 +390,7 @@ def test_m_equation_identities():
                  (-1, 2, None), (1, 1, 1)]:
         b = SeriesBlocks(9, *subs)
         x, y, a = b.x_poly, b.y_poly, b.alpha_poly
-        one, z, zm, m = b.one, b.z, b.zm, b.m
+        one, z, zm, m = b.one, b.z, b.zm, solve_M(9, *subs)
         for w, line in ((x, b.line_x), (y, b.line_y)):
             w_series = ZSeries.constant(w, 9)
             assert line == w_series + z.scale(a - x * y), subs
@@ -423,5 +448,5 @@ def test_table_entries_are_the_products():
     b = SeriesBlocks(7, None, 2, None)
     for table, geom in ((b.table_x, b.geom_x), (b.table_y, b.geom_y)):
         for i, j in ((0, 0), (0, 3), (2, 0), (1, 2), (3, 4)):
-            assert table[i][j] == b.zm ** i * geom ** j
+            assert table[i][j] == _power(b.zm, i) * _power(geom, j)
     assert b.table_x[0] is b.geom_x_pow and b.table_y[0] is b.geom_y_pow

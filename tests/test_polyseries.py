@@ -327,6 +327,37 @@ def test_solve_M_matches_the_fixed_point_reference(subs):
         assert solve_M(order, *subs) == _fixed_point_M(order, *subs)
 
 
+def _convolution_M(order, x_val=None, y_val=None, alpha_val=None):
+    # Reference: one pass over the coefficients, M_0 = 1 and
+    # M_k = (x+y) M_(k-1) + alpha sum_(i+j=k-2) M_i M_j, each unordered
+    # pair of the symmetric convolution summed once.
+    xy = (X + Y).substitute(x=x_val, y=y_val)
+    al = ALPHA.substitute(alpha=alpha_val)
+    m = [ONE]
+    for k in range(1, order + 1):
+        s = k - 2
+        conv = MultiPoly.sum_of_products(
+            (m[i], m[s - i]) for i in range((s + 1) // 2)) * 2
+        if s >= 0 and s % 2 == 0:
+            conv = conv + m[s // 2] * m[s // 2]
+        m.append(MultiPoly.sum_of_products(((xy, m[k - 1]), (al, conv))))
+    return ZSeries(order, m)
+
+
+# x, y and alpha each unset, 0, 1, -1 or 2: the symbolic case, the
+# all-given cases and a fixed sample of the mixed ones
+_M_SUBS = [(None, None, None), (0, 0, 0), (1, 1, 1), (-1, -1, -1), (2, 2, 2),
+           (0, None, None), (None, 0, None), (None, None, 0),
+           (1, None, -1), (None, 2, 1), (-1, 2, None), (2, -1, 0),
+           (0, 1, None), (None, -1, 2), (1, -1, 2), (2, 0, -1)]
+
+
+@pytest.mark.parametrize("subs", _M_SUBS)
+def test_solve_M_matches_the_convolution_reference(subs):
+    for order in range(31):
+        assert solve_M(order, *subs) == _convolution_M(order, *subs), order
+
+
 def test_solve_M_has_one_cache_entry_per_truncation():
     solve_M.cache_clear()
     first = solve_M(9)
@@ -338,12 +369,10 @@ def test_solve_M_has_one_cache_entry_per_truncation():
 
 def test_pow_equals_repeated_products():
     poly = X + Y * 2 - ALPHA
-    series = solve_M(5)
-    prod_p, prod_s = ONE, ZSeries.one(5)
+    prod = ONE
     for k in range(10):
-        assert poly ** k == prod_p
-        assert series ** k == prod_s
-        prod_p, prod_s = prod_p * poly, prod_s * series
+        assert poly ** k == prod
+        prod = prod * poly
 
 
 def test_solve_M_catalan_at_unit_values():
