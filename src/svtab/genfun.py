@@ -343,8 +343,7 @@ def refined_coefficient(series: ZSeries, n: int, c: int, d: int, e: int) -> int:
     if n < 0 or n > series.order:
         raise ValueError(
             f"z-exponent {n} outside the computed range 0..{series.order}")
-    coeff = series[n].terms.get((c, d, e), 0)
-    return coeff
+    return series[n].coefficient(c, d, e)
 
 
 def expected_downsteps_series(t: int, order: int) -> tuple[Optional[Fraction], ...]:

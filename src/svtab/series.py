@@ -7,6 +7,16 @@ every step of the coefficient recursion divides exactly.  A failed
 division raises NonExactDivision, which in this package always means a
 generating-function expression was transcribed wrongly.
 
+A polynomial keys each term x^a y^b alpha^c by one int,
+a << 42 | b << 21 | c: three 21-bit fields whose top bits are guard
+bits, clear in every stored key, so an exponent runs from 0 to 2^20 - 1.
+The key of a product term is the sum of its factors' keys; a product
+that sets a guard bit raises OverflowError instead of wrapping.  Packed
+keys order as the triples they encode, and the public constructor,
+``terms`` and the printed forms speak of triples.  A series squared
+(``F * F`` with one object on both sides) forms each unordered pair of
+coefficients once.
+
 The module also gives the powers of u = zM, where M(z) is the height-0
 weight series, in closed form by Lagrange inversion (M is the first
 power shifted down by one), and the reversion self-check, which tests
@@ -16,10 +26,10 @@ that closed form against M's functional equation with series products.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache, reduce, wraps
 from itertools import accumulate
 from math import comb
-from operator import mul
+from operator import mul, or_
 from typing import Iterable, Optional
 
 
@@ -29,12 +39,42 @@ class NonExactDivision(ArithmeticError):
 
 _VAR_NAMES = ("x", "y", "alpha")
 
+# Term keys a << 2S | b << S | c (module docstring); _GUARD holds the top
+# bit of each S-bit field and _FIELDS the exponent bits below it.
+_SHIFT = 21
+_LIMIT = 1 << (_SHIFT - 1)
+_MASK = _LIMIT - 1
+_GUARD = _LIMIT << 2 * _SHIFT | _LIMIT << _SHIFT | _LIMIT
+_FIELDS = (_MASK << 2 * _SHIFT, _MASK << _SHIFT, _MASK)
+
+
+def _pack(exps: tuple[int, int, int]) -> int:
+    """The key of an exponent triple, or ValueError / OverflowError."""
+    if len(exps) != 3 or any(type(p) is not int or p < 0 for p in exps):
+        raise ValueError(
+            f"exponents must be three nonnegative ints, got {exps!r}")
+    if max(exps) >= _LIMIT:
+        raise OverflowError(f"exponent past {_MASK} in {exps!r}")
+    a, b, c = exps
+    return a << 2 * _SHIFT | b << _SHIFT | c
+
+
+def _unpack(key: int) -> tuple[int, int, int]:
+    return key >> 2 * _SHIFT, key >> _SHIFT & _MASK, key & _MASK
+
+
+@lru_cache(maxsize=None)
+def _monomial_text(key: int) -> str:
+    return "*".join(name if p == 1 else f"{name}^{p}"
+                    for name, p in zip(_VAR_NAMES, _unpack(key)) if p)
+
 
 class MultiPoly:
     """Sparse polynomial in x, y, alpha over the integers.
 
-    Immutable; the term map goes from exponent triples (a, b, c) to
-    nonzero integer coefficients.
+    Immutable.  The constructor and ``terms`` speak of exponent triples
+    (a, b, c); inside, each term is keyed by its packed int (see _pack)
+    and maps to a nonzero integer coefficient.
     """
 
     __slots__ = ("_terms", "_hash")
@@ -43,40 +83,47 @@ class MultiPoly:
         clean = {}
         if terms:
             for exps, coeff in terms.items():
+                key = _pack(exps)
                 if coeff:
-                    clean[exps] = coeff
+                    clean[key] = coeff
         self._terms = clean
         self._hash = None
 
     @staticmethod
     def zero() -> "MultiPoly":
-        return MultiPoly()
+        return _wrap({})
 
     @staticmethod
     def const(k: int) -> "MultiPoly":
-        return MultiPoly({(0, 0, 0): k})
+        return _wrap({0: k})
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
         i = _VAR_NAMES.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(3))
-        return MultiPoly({exps: 1})
+        return _wrap({1 << (2 - i) * _SHIFT: 1})
 
     @property
     def terms(self) -> dict[tuple[int, int, int], int]:
-        return dict(self._terms)
+        """A fresh map from exponent triples to coefficients."""
+        return {_unpack(e): k for e, k in self._terms.items()}
+
+    def coefficient(self, a: int, b: int, c: int) -> int:
+        """The coefficient of x^a y^b alpha^c; 0 where there is no term."""
+        if min(a, b, c) < 0 or max(a, b, c) >= _LIMIT:
+            return 0
+        return self._terms.get(a << 2 * _SHIFT | b << _SHIFT | c, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {(0, 0, 0): 1}
+        return self._terms == {0: 1}
 
     def constant_value(self) -> Optional[int]:
         if not self._terms:
             return 0
-        if len(self._terms) == 1 and (0, 0, 0) in self._terms:
-            return self._terms[(0, 0, 0)]
+        if len(self._terms) == 1 and 0 in self._terms:
+            return self._terms[0]
         return None
 
     def __bool__(self) -> bool:
@@ -95,15 +142,16 @@ class MultiPoly:
         return self._hash
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly({e: -k for e, k in self._terms.items()})
+        return _wrap({e: -k for e, k in self._terms.items()})
 
     def __add__(self, other) -> "MultiPoly":
         if isinstance(other, int):
             other = MultiPoly.const(other)
         out = dict(self._terms)
+        get = out.get
         for e, k in other._terms.items():
-            out[e] = out.get(e, 0) + k
-        return MultiPoly(out)
+            out[e] = get(e, 0) + k
+        return _wrap(out)
 
     __radd__ = __add__
 
@@ -117,9 +165,7 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, int):
-            if other == 0:
-                return MultiPoly()
-            return MultiPoly({e: k * other for e, k in self._terms.items()})
+            return _wrap({e: k * other for e, k in self._terms.items()})
         return MultiPoly.sum_of_products(((self, other),))
 
     @staticmethod
@@ -128,17 +174,20 @@ class MultiPoly:
         """The sum of a * b over the pairs, gathered in one term map.
 
         The partial sums never become polynomials of their own: only the
-        finished map is cleaned of zero coefficients and wrapped.
+        finished map is cleaned of zero coefficients and wrapped.  An
+        exponent past the field width raises OverflowError.
         """
-        out: dict[tuple[int, int, int], int] = {}
+        out: dict[int, int] = {}
         get = out.get
         for p, q in pairs:
             q_terms = q._terms.items()
-            for (a1, b1, c1), k1 in p._terms.items():
-                for (a2, b2, c2), k2 in q_terms:
-                    e = (a1 + a2, b1 + b2, c1 + c2)
+            for e1, k1 in p._terms.items():
+                for e2, k2 in q_terms:
+                    e = e1 + e2
                     out[e] = get(e, 0) + k1 * k2
-        return MultiPoly(out)
+        if out and reduce(or_, out) & _GUARD:
+            raise OverflowError(f"a product has an exponent past {_MASK}")
+        return _wrap(out)
 
     __rmul__ = __mul__
 
@@ -156,72 +205,82 @@ class MultiPoly:
         Single-divisor division with respect to the lexicographic term
         order; since one polynomial is always a Groebner basis of its own
         ideal, the remainder vanishes exactly when the division is exact.
-        A one-term divisor divides each term on its own.
+        A one-term divisor divides each term on its own.  A term e is
+        divisible by the leading term when (e | GUARD) - lead keeps every
+        guard bit: a field that would borrow clears its own.
         """
         if other.is_zero():
             raise NonExactDivision("division by the zero polynomial")
         if self.is_zero():
             return MultiPoly()
-        if len(other._terms) == 1:
-            ((l0, l1, l2), lead_coeff), = other._terms.items()
+        div = other._terms
+        if len(div) == 1:
+            (lead, lead_coeff), = div.items()
             quot = {}
-            for (a, b, c), k in self._terms.items():
-                if a < l0 or b < l1 or c < l2 or k % lead_coeff:
+            for e, k in self._terms.items():
+                d = (e | _GUARD) - lead
+                if d & _GUARD != _GUARD or k % lead_coeff:
                     raise NonExactDivision(
                         f"{other} does not divide {self} exactly")
-                quot[(a - l0, b - l1, c - l2)] = k // lead_coeff
-            return MultiPoly(quot)
-        lead = max(other._terms)
-        lead_coeff = other._terms[lead]
+                quot[d ^ _GUARD] = k // lead_coeff
+            return _wrap(quot)
+        lead = max(div)
+        lead_coeff = div[lead]
+        # the divisor's largest exponent in each variable, packed: a
+        # quotient term d whose d + span sets a guard bit would put a
+        # term past the field width into the remainder
+        span = sum(max(e & field for e in div) for field in _FIELDS)
         rem = dict(self._terms)
-        quot: dict[tuple[int, int, int], int] = {}
+        quot: dict[int, int] = {}
         while rem:
             e = max(rem)
             k = rem[e]
-            diff = (e[0] - lead[0], e[1] - lead[1], e[2] - lead[2])
-            if min(diff) < 0 or k % lead_coeff != 0:
+            d = (e | _GUARD) - lead
+            if d & _GUARD != _GUARD or k % lead_coeff:
                 raise NonExactDivision(
                     f"{other} does not divide {self} exactly")
+            d ^= _GUARD
+            if (d + span) & _GUARD:
+                raise OverflowError(
+                    f"dividing by {other} passes exponent {_MASK}")
             q = k // lead_coeff
-            quot[diff] = quot.get(diff, 0) + q
-            for e2, k2 in other._terms.items():
-                tgt = (diff[0] + e2[0], diff[1] + e2[1], diff[2] + e2[2])
+            quot[d] = quot.get(d, 0) + q
+            for e2, k2 in div.items():
+                tgt = d + e2
                 nv = rem.get(tgt, 0) - q * k2
                 if nv:
                     rem[tgt] = nv
                 else:
                     rem.pop(tgt, None)
-        return MultiPoly(quot)
+        return _wrap(quot)
 
     def alpha_derivative(self) -> "MultiPoly":
-        out = {}
-        for (a, b, c), k in self._terms.items():
-            if c:
-                out[(a, b, c - 1)] = k * c
-        return MultiPoly(out)
+        return _wrap({e - 1: k * c for e, k in self._terms.items()
+                      if (c := e & _MASK)})
 
     def substitute(self, x: Optional[int] = None, y: Optional[int] = None,
                    alpha: Optional[int] = None) -> "MultiPoly":
         """Substitute integer values for some of the variables."""
-        out: dict[tuple[int, int, int], int] = {}
-        for (a, b, c), k in self._terms.items():
+        keep = sum(field for field, v in zip(_FIELDS, (x, y, alpha))
+                   if v is None)
+        out: dict[int, int] = {}
+        get = out.get
+        for e, k in self._terms.items():
             if x is not None:
-                k *= x ** a
-                a = 0
+                k *= x ** (e >> 2 * _SHIFT)
             if y is not None:
-                k *= y ** b
-                b = 0
+                k *= y ** (e >> _SHIFT & _MASK)
             if alpha is not None:
-                k *= alpha ** c
-                c = 0
-            e = (a, b, c)
-            out[e] = out.get(e, 0) + k
-        return MultiPoly(out)
+                k *= alpha ** (e & _MASK)
+            e &= keep
+            out[e] = get(e, 0) + k
+        return _wrap(out)
 
     def specialize(self, x, y, alpha) -> Fraction:
         total = Fraction(0)
         x, y, alpha = Fraction(x), Fraction(y), Fraction(alpha)
-        for (a, b, c), k in self._terms.items():
+        for e, k in self._terms.items():
+            a, b, c = _unpack(e)
             total += k * x ** a * y ** b * alpha ** c
         return total
 
@@ -229,11 +288,9 @@ class MultiPoly:
         if not self._terms:
             return "0"
         parts = []
-        for exps in sorted(self._terms, reverse=True):
-            k = self._terms[exps]
-            vars_part = "*".join(
-                name if p == 1 else f"{name}^{p}"
-                for name, p in zip(_VAR_NAMES, exps) if p)
+        for e in sorted(self._terms, reverse=True):
+            k = self._terms[e]
+            vars_part = _monomial_text(e)
             mag = abs(k)
             if not vars_part:
                 body = str(mag)
@@ -250,6 +307,19 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+def _wrap(terms: dict[int, int]) -> MultiPoly:
+    """A MultiPoly over a packed term map, which it takes over.
+
+    The map is copied only when it holds a zero coefficient.
+    """
+    if not all(terms.values()):
+        terms = {e: k for e, k in terms.items() if k}
+    poly = object.__new__(MultiPoly)
+    poly._terms = terms
+    poly._hash = None
+    return poly
 
 
 ZERO = MultiPoly.zero()
@@ -324,6 +394,8 @@ class ZSeries:
 
     def __mul__(self, other: "ZSeries") -> "ZSeries":
         self._check(other)
+        if other is self:
+            return self._square()
         a, b = self.coeffs, other.coeffs
         # only pairs of nonzero coefficients enter the kernel
         left = [i for i, c in enumerate(a) if c]
@@ -332,6 +404,21 @@ class ZSeries:
             MultiPoly.sum_of_products((a[i], b[k - i]) for i in left
                                       if k - i in right)
             for k in range(self.order + 1)])
+
+    def _square(self) -> "ZSeries":
+        # each unordered pair of coefficients once: a_i (2 a_j) for i < j,
+        # plus a_h^2 at k = 2h
+        a = self.coeffs
+        left = [i for i, c in enumerate(a) if c]
+        twice = {j: a[j] * 2 for j in left}
+        out = []
+        for k in range(self.order + 1):
+            pairs = [(a[i], twice[k - i]) for i in left
+                     if 2 * i < k and k - i in twice]
+            if k % 2 == 0 and k // 2 in twice:
+                pairs.append((a[k // 2], a[k // 2]))
+            out.append(MultiPoly.sum_of_products(pairs))
+        return ZSeries(self.order, out)
 
     def scale(self, poly: MultiPoly | int) -> "ZSeries":
         if isinstance(poly, int):
@@ -469,19 +556,21 @@ def zm_power(k: int, order: int, x_val: Optional[int] = None,
         raise ValueError("negative series power")
     if k == 0:
         return ZSeries.one(order)
+    if order >= _LIMIT:
+        raise OverflowError(f"order {order} is past exponent {_MASK}")
     fact = list(accumulate(range(1, order + 1), mul, initial=1))
     xy_val = None if x_val is None or y_val is None else x_val + y_val
     coeffs = [ZERO] * min(k, order + 1)
     for n in range(k, order + 1):
         top = k * fact[n - 1]
-        out: dict[tuple[int, int, int], int] = {}
+        out: dict[int, int] = {}
         for e in range((n - k) // 2 + 1):
             h = n - k - 2 * e
             c = top // (fact[e] * fact[h] * fact[n - h - e])
             if alpha_val is not None:
                 c, e = c * alpha_val ** e, 0
             if xy_val is not None:
-                out[0, 0, e] = out.get((0, 0, e), 0) + c * xy_val ** h
+                out[e] = out.get(e, 0) + c * xy_val ** h
                 continue
             for a in range(h + 1):
                 ca, b = c * comb(h, a), h - a
@@ -489,8 +578,9 @@ def zm_power(k: int, order: int, x_val: Optional[int] = None,
                     ca, a = ca * x_val ** a, 0
                 if y_val is not None:
                     ca, b = ca * y_val ** b, 0
-                out[a, b, e] = out.get((a, b, e), 0) + ca
-        coeffs.append(MultiPoly(out))
+                key = a << 2 * _SHIFT | b << _SHIFT | e
+                out[key] = out.get(key, 0) + ca
+        coeffs.append(_wrap(out))
     return ZSeries(order, coeffs)
 
 

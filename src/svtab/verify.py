@@ -323,12 +323,18 @@ def check_theorem(check: str, max_n: int) -> list[CheckReport]:
     order = _series_order(min(max_n, SERIES_BOUND))
     reports = []
     for n in range(fam.first_n, min(max_n, fam.top) + 1):
+        # A grid visits each frame's params in one run, so the frame's
+        # [z^n] map is unpacked from MultiPoly's keys once per run; only
+        # the current map is kept.
+        frame = series_map = None
         for params in fam.grid(n):
             started = time.perf_counter()
             f, t = fam.frame(params)
+            if (f, t) != frame:
+                frame, series_map = (f, t), _series(f, t, order)[n].terms
             maps = (_tableau_counter(n, f, t) if n <= fam.tableau_cap else None,
                     _path_counter(n, f, t) if n <= fam.path_cap else None,
-                    _series(f, t, order)[n].terms)
+                    series_map)
             tab, path, ser = (None if w is None else fam.project(w, **params)
                               for w in maps)
             try:

@@ -127,6 +127,136 @@ def test_monomial_divexact_matches_the_general_loop(p, q, m):
             lambda: _general_divexact(num, m))
 
 
+# Tuple-keyed references for the packed representation: the term map as
+# (a, b, c) -> coefficient, read through the public ``terms``.
+
+_WIDE = 2 ** 20 - 1  # the largest exponent a key holds
+
+
+def wide_poly_strategy():
+    # exponents near zero and near the field width, zero coefficients kept
+    exp = st.one_of(st.integers(0, 3), st.integers(_WIDE - 3, _WIDE))
+    return st.dictionaries(st.tuples(exp, exp, exp), st.integers(-9, 9),
+                           max_size=6)
+
+
+def _tuple_str(terms):
+    names = ("x", "y", "alpha")
+    parts = []
+    for exps in sorted(terms, reverse=True):
+        k = terms[exps]
+        mono = "*".join(n if p == 1 else f"{n}^{p}"
+                        for n, p in zip(names, exps) if p)
+        body = str(abs(k)) if not mono else (
+            mono if abs(k) == 1 else f"{abs(k)}*{mono}")
+        if not parts:
+            parts.append(("-" if k < 0 else "") + body)
+        else:
+            parts.append(f"{'-' if k < 0 else '+'} {body}")
+    return " ".join(parts) or "0"
+
+
+def _tuple_substitute(terms, x, y, alpha):
+    values = (x, y, alpha)
+    out = {}
+    for exps, k in terms.items():
+        for v, p in zip(values, exps):
+            if v is not None:
+                k *= v ** p
+        key = tuple(p if v is None else 0 for v, p in zip(values, exps))
+        out[key] = out.get(key, 0) + k
+    return {e: k for e, k in out.items() if k}
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_poly_strategy())
+def test_packed_keys_round_trip_and_print_in_triple_order(d):
+    p = MultiPoly(d)
+    want = {k: v for k, v in d.items() if v}
+    assert p.terms == want
+    assert str(p) == _tuple_str(want)
+    for exps, k in want.items():
+        assert p.coefficient(*exps) == k
+
+
+_SUB_VALUES = st.sampled_from((None, None, 0, 1, -1, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_strategy(), _SUB_VALUES, _SUB_VALUES, _SUB_VALUES)
+def test_substitute_and_derivatives_match_a_tuple_reference(p, x, y, alpha):
+    terms = p.terms
+    assert p.substitute(x=x, y=y, alpha=alpha).terms == _tuple_substitute(
+        terms, x, y, alpha)
+    assert p.alpha_derivative().terms == {
+        (a, b, c - 1): k * c for (a, b, c), k in terms.items() if c}
+    point = (Fraction(1, 2), Fraction(-3), Fraction(2, 5))
+    assert p.specialize(*point) == sum(
+        k * point[0] ** a * point[1] ** b * point[2] ** c
+        for (a, b, c), k in terms.items())
+
+
+def test_coefficient_reads_one_term():
+    p = X * X * Y * 3 - ALPHA + 5
+    assert p.coefficient(2, 1, 0) == 3
+    assert p.coefficient(0, 0, 1) == -1
+    assert p.coefficient(0, 0, 0) == 5
+    assert p.coefficient(1, 1, 0) == 0
+    assert p.coefficient(-1, 0, 0) == 0
+    assert p.coefficient(2 ** 20, 0, 0) == 0
+
+
+def test_constructor_rejects_malformed_exponents():
+    for exps in [(-1, 0, 0), (0, 0, -2), (1.5, 0, 0), (0, "1", 0),
+                 (True, 0, 0), (1, 2), (1, 2, 3, 4)]:
+        with pytest.raises(ValueError) as info:
+            MultiPoly({exps: 1})
+        assert repr(exps) in str(info.value)
+    # a malformed key is rejected even with a zero coefficient
+    with pytest.raises(ValueError):
+        MultiPoly({(-1, 0, 0): 0})
+    for exps in [(2 ** 20, 0, 0), (0, 2 ** 20, 0), (0, 0, 2 ** 40)]:
+        with pytest.raises(OverflowError) as info:
+            MultiPoly({exps: 1})
+        assert repr(exps) in str(info.value)
+    top = MultiPoly({(_WIDE, _WIDE, _WIDE): 1})
+    assert top.terms == {(_WIDE, _WIDE, _WIDE): 1}
+
+
+def _exps(i, p, rest):
+    # exponent p in variable i (x, y, alpha = 0, 1, 2), rest elsewhere
+    return tuple(p if j == i else rest for j in range(3))
+
+
+def test_products_past_the_field_width_raise():
+    half = 2 ** 19
+    for i in range(3):
+        lo = MultiPoly({_exps(i, half - 1, 1): 1})
+        hi = MultiPoly({_exps(i, half, 1): 1})
+        # the largest exponent still fits
+        assert (hi * lo).terms == {_exps(i, _WIDE, 2): 1}
+        with pytest.raises(OverflowError):
+            hi * hi
+        with pytest.raises(OverflowError):
+            MultiPoly.sum_of_products(
+                [(ONE, ONE), (MultiPoly({_exps(i, _WIDE, 0): 1}), X * Y * ALPHA)])
+    # the general division loop would carry a remainder term past the width
+    with pytest.raises(OverflowError):
+        (X * X).divexact(X + MultiPoly({(0, _WIDE, 0): 1}))
+
+
+def test_divexact_rejects_borrows_on_both_paths():
+    # every field of the leading term borrows in turn: x^2 y over x y^2,
+    # y alpha over x and x^2 over x alpha, as a monomial and with a tail
+    for num, den in [(X * X * Y, X * Y * Y), (Y * ALPHA, X),
+                     (X * X, X * ALPHA), (X * Y * ALPHA, Y * Y)]:
+        for d in (den, den + ONE, den * 3 - ALPHA * ALPHA):
+            with pytest.raises(NonExactDivision):
+                num.divexact(d)
+            with pytest.raises(NonExactDivision):
+                _general_divexact(num, d)
+
+
 def test_substitute_partial():
     p = X * Y + ALPHA * X
     assert p.substitute(x=2) == Y * 2 + ALPHA * 2
@@ -264,6 +394,19 @@ def test_sum_of_products_is_the_sum_of_the_products(pairs):
 def test_series_product_matches_schoolbook(pair):
     a, b = pair
     assert a * b == _schoolbook_product(a, b)
+    assert a * a == _schoolbook_product(a, a)
+
+
+def test_square_equals_the_product_of_two_equal_series():
+    # F * F takes the pair-once square; F * G with G == F a distinct
+    # object takes the general product
+    for order in (0, 1, 2, 12, 24):
+        for subs in ((), (1, 1, 1), (0, 0, None)):
+            m = solve_M(order, *subs)
+            for f in (m, m.shift(1), m.shift(3)):
+                g = ZSeries(f.order, f.coeffs)
+                assert g is not f
+                assert f * f == f * g == _schoolbook_product(f, g), (order, subs)
 
 
 @settings(max_examples=80, deadline=None)
