@@ -11,15 +11,15 @@ in closed form by Lagrange inversion (series.zm_power), and every
 numerator is a short signed sum of entries u^i g_w^j of one shared table
 per w, times powers of alpha, so no term multiplies two series: each
 numerator is built in one multiply-accumulate pass per coefficient.
-M's equation M = 1 + (x+y) u + alpha u^2 turns most denominators into
+M's equation M = 1 + (x+y) u + alpha u^2 turns every denominator into
 lines: (w + alpha u)(1 + w u) = M line_w with the two-term
 line_w = w + (alpha - xy) z, u / M = z, 1 - alpha u^2 = M S with
-S = 1 - (x+y) z - 2 alpha z u, and u' = M / S.  So the terms over
-(w + alpha u)(1 + w u), (1 + xu)(1 + yu) and, for pure powers of u,
-(1 + wu)(1 - alpha u^2) are each one division by line_w or by the
-three-term line_x line_y (SeriesBlocks.gap_over_m, over_xu_yu and
-over_wu_ms).  Only skew-drop terms 3, 4 and 5, whose numerators are table
-entries, still divide by a dense sum of powers of u.
+S = 1 - (x+y) z - 2 alpha z u, and u' = M / S.  So a term over
+(w + alpha u)(1 + w u) or (1 + xu)(1 + yu) is one division by line_w or
+by the three-term line_x line_y (SeriesBlocks.gap_over_m and
+over_xu_yu), and one over L (1 - alpha u^2) is one division by line_w
+of entries P_k g_y^j, P_k = u^k / (1 - alpha u^2), weighted (w, alpha)
+for L = 1 + w u and (1, w) for L = w + alpha u (SeriesBlocks.over_ms).
 
 frame_terms picks the term builder of a frame (f, t): straight for
 f = 0, drop for t < f, rise for t >= f.  The entry points sum its terms:
@@ -31,7 +31,7 @@ number of down-steps among all paths counted by gf_straight.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 from svtab.series import (ALPHA, ONE, X, Y, ZERO, MultiPoly, ZSeries,
@@ -72,8 +72,14 @@ class SeriesBlocks:
         subs = (x_val, y_val, alpha_val)
         self.zm_pow = Table(lambda _, k: zm_power(k, order, *subs))
         self.zm = self.zm_pow[1]
-        self.table_x = self._geom_table(self.x_poly)
-        self.table_y = self._geom_table(self.y_poly)
+        # the tables hold no reference to self, so a dropped blocks object
+        # is freed at once, not by the cycle collector
+        zm_pow, one_minus_yz = self.zm_pow, self.one - self.z.scale(self.y_poly)
+        self.table_x = _geom_rows(lambda _, i: zm_pow[i],
+                                  self.one - self.z.scale(self.x_poly))
+        self.table_y = _geom_rows(lambda _, i: zm_pow[i], one_minus_yz)
+        self.table_ms = _geom_rows(partial(_over_ms, zm_pow, self.alpha_poly),
+                                   one_minus_yz)
         self.geom_x_pow = self.table_x[0]
         self.geom_y_pow = self.table_y[0]
         self.geom_x = self.geom_x_pow[1]   # z/(1-xz)
@@ -83,21 +89,6 @@ class SeriesBlocks:
         slope = self.z.scale(self.slope_poly)
         self.line_x = ZSeries.constant(self.x_poly, order) + slope
         self.line_y = ZSeries.constant(self.y_poly, order) + slope
-        self._over_ms: dict[int, ZSeries] = {}
-
-    def _geom_table(self, w: MultiPoly) -> Table:
-        """The products u^i g^j for g = z/(1 - wz): table[i][j].
-
-        Row i starts at u^i, and each step along it multiplies by g as one
-        shift and one division by the two-term series 1 - wz: O(order)
-        coefficient steps instead of a series product.
-        """
-        # the builders hold no reference to self, so a dropped blocks
-        # object is freed at once, not by the cycle collector
-        zm_pow, one_minus_wz = self.zm_pow, self.one - self.z.scale(w)
-        return Table(lambda _, i: Table(
-            lambda row, j: zm_pow[i] if j == 0 else
-            row[j - 1].shift(1).exact_divide(one_minus_wz)))
 
     def combine(self, *parts: tuple[MultiPoly, int, ZSeries]) -> ZSeries:
         """The sum of c z^j s over the parts (c, j, s).
@@ -117,41 +108,21 @@ class SeriesBlocks:
         return self.combine((c, 1, self.zm_pow[i - 1 + j]),
                             (-c, 1, table[i - 1][j]))
 
-    def over_ms(self, j: int) -> ZSeries:
-        """P_j = u^j / (1 - alpha u^2) for j >= 1, built once per j.
+    def over_ms(self, weights: tuple[MultiPoly, MultiPoly], line: ZSeries,
+                *pieces: tuple[MultiPoly, int, int]) -> ZSeries:
+        """The sum of c u^k g_y^j / (L (1 - alpha u^2)) over (c, k, j), k >= 1.
 
-        1 - alpha u^2 = M S with S = 1 - (x+y) z - 2 alpha z u, and
-        differentiating u = z M in z gives u' = M / S, so
-        P_j = z^2 u^(j-2) u' = z^2 (u^(j-1))' / (j-1) for j >= 2: its z^n
-        coefficient is (n-1)/(j-1) times that of u^(j-1), an exact
-        division.  P_1 = u + alpha P_3, since P_j - alpha P_(j+2) = u^j.
+        The weights (a, b) are (w, alpha) for L = 1 + w u and (1, w) for
+        L = w + alpha u, and line is line_w.  By
+        (w + alpha u)(1 + w u) = M line_w and u^k / M = z u^(k-1), each
+        piece is c z (a P_(k-1) + b P_k) g_y^j / line_w with
+        P_k = u^k / (1 - alpha u^2): one division by the line.
         """
-        p = self._over_ms.get(j)
-        if p is None:
-            if j == 1:
-                p = self.combine((ONE, 0, self.zm), (self.alpha_poly, 0,
-                                                     self.over_ms(3)))
-            else:
-                m = MultiPoly.const(j - 1)
-                p = ZSeries(self.order, [ZERO] + [
-                    (c * n).divexact(m) for n, c in
-                    enumerate(self.zm_pow[j - 1].coeffs[:-1])])
-            self._over_ms[j] = p
-        return p
-
-    def over_wu_ms(self, w: MultiPoly, line: ZSeries,
-                   *pieces: tuple[MultiPoly, int]) -> ZSeries:
-        """The sum of c u^k / ((1 + w u)(1 - alpha u^2)) over (c, k), k >= 2.
-
-        1/(1 + w u) = (w + alpha u) / (M line_w) and u^k / M = z u^(k-1),
-        so each piece is c z (w P_(k-1) + alpha P_k) / line_w: one
-        division by the line.
-        """
-        a = self.alpha_poly
+        a, b = weights
+        rows = self.table_ms
         parts = []
-        for c, k in pieces:
-            parts += [(c * w, 1, self.over_ms(k - 1)),
-                      (c * a, 1, self.over_ms(k))]
+        for c, k, j in pieces:
+            parts += [(c * a, 1, rows[k - 1][j]), (c * b, 1, rows[k][j])]
         return _quotient(self.combine(*parts), line)
 
     @cached_property
@@ -175,30 +146,44 @@ class SeriesBlocks:
                            (-(c * self.slope_poly), 2, zm_pow[k - 2]))
         return _quotient(num, self.lines_xy)
 
-    # The dense denominators left, each built on first use.
 
-    def _zm_sum(self, *coeffs: MultiPoly) -> ZSeries:
-        """coeffs[0] + coeffs[1] u + coeffs[2] u^2 + ... for u = zM."""
-        return self.combine(*((c, 0, self.zm_pow[i])
-                              for i, c in enumerate(coeffs)))
+def _geom_rows(first: Callable[[Table, int], ZSeries],
+               one_minus_wz: ZSeries) -> Table:
+    """The products first(table, i) g^j for g = z/(1 - wz): table[i][j].
 
-    @cached_property
-    def den_xazm_az2m2(self) -> ZSeries:
-        x, a = self.x_poly, self.alpha_poly
-        return self._zm_sum(x, a, -(x * a), -(a * a))
+    Each step along a row multiplies by g as one shift and one division
+    by the two-term series 1 - wz: O(order) coefficient steps instead of
+    a series product.  A row holds its first entry, not the table.
+    """
+    def build_row(table: Table, i: int) -> Table:
+        start = first(table, i)
+        return Table(lambda row, j: start if j == 0 else
+                     row[j - 1].shift(1).exact_divide(one_minus_wz))
+    return Table(build_row)
 
-    @cached_property
-    def den_xzm_az2m2(self) -> ZSeries:
-        x, a = self.x_poly, self.alpha_poly
-        return self._zm_sum(ONE, x, -a, -(x * a))
+
+def _over_ms(zm_pow: Table, alpha: MultiPoly, table: Table, k: int) -> ZSeries:
+    """P_k = u^k / (1 - alpha u^2), the first entry of table_ms's row k.
+
+    1 - alpha u^2 = M S with S = 1 - (x+y) z - 2 alpha z u, and
+    differentiating u = z M in z gives u' = M / S, so
+    P_k = z^2 u^(k-2) u' = z^2 (u^(k-1))' / (k-1) for k >= 2: its z^n
+    coefficient is (n-1)/(k-1) times that of u^(k-1), an exact division.
+    P_k = u^k + alpha P_(k+2) gives P_0 and P_1.
+    """
+    if k < 2:
+        return zm_pow[k] + table[k + 2][0].scale(alpha)
+    m, power = MultiPoly.const(k - 1), zm_pow[k - 1]
+    return ZSeries(power.order, [ZERO] + [
+        (c * n).divexact(m) for n, c in enumerate(power.coeffs[:-1])])
 
 
 def _quotient(num: ZSeries, den: ZSeries) -> ZSeries:
     """num / den, where a vanished divisor over a zero numerator gives 0.
 
-    A line, line_x line_y or (x + alpha u)(1 - alpha u^2) vanishes only
-    where alpha = 0 and x or y is 0, and every numerator over one of them
-    carries a factor alpha, so the term is 0 there.
+    A line or line_x line_y vanishes only where alpha = 0 and x or y is
+    0, and every numerator over one of them carries a factor alpha, so the
+    term is 0 there.
     """
     if den.is_zero() and num.is_zero():
         return num
@@ -261,21 +246,18 @@ def skew_drop_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
         raise ValueError(f"order {order} is below the valuation f-t={f - t}")
     b = _blocks(order, x_val, y_val, alpha_val)
     a = b.alpha_poly
-    ty, zm_pow = b.table_y, b.zm_pow
+    x, y, ty = b.x_poly, b.y_poly, b.table_y
     c, ct = a ** (f - t + 1), a ** (f + 1)   # ct = c alpha^t
     term1 = b.geom_y_pow[f - t].scale(a ** (f - t))
     term2 = _quotient(b.gap_over_m(ty, t + 1, f, ct), b.line_x)
-    term3 = _quotient(b.combine(
-        (c, 0, zm_pow[f - t + 1]), (-c, 0, ty[1][f - t]),
-        (-ct, 0, zm_pow[f + t + 1]), (ct, 0, ty[2 * t + 1][f - t])),
-        b.den_xazm_az2m2)
-    term4 = _quotient(b.combine((c, 0, ty[2][f - t]), (-ct, 0, ty[t + 2][f])),
-                      b.den_xzm_az2m2)
-    term5 = _quotient(b.combine((ct, 0, ty[t + 1][f]),
-                                (-ct, 0, ty[2 * t + 1][f - t])),
-                      b.den_xazm_az2m2)
+    term3 = b.over_ms((ONE, x), b.line_x, (c, f - t + 1, 0), (-c, 1, f - t),
+                      (-ct, f + t + 1, 0), (ct, 2 * t + 1, f - t))
+    term4 = b.over_ms((x, a), b.line_x, (c, 2, f - t), (-ct, t + 2, f))
+    term5 = b.over_ms((ONE, x), b.line_x, (ct, t + 1, f),
+                      (-ct, 2 * t + 1, f - t))
     term6 = b.over_xu_yu(ct, f + t + 2)
-    term7 = b.over_wu_ms(b.y_poly, b.line_y, (c, f - t + 2), (-ct, f + t + 2))
+    term7 = b.over_ms((y, a), b.line_y, (c, f - t + 2, 0),
+                      (-ct, f + t + 2, 0))
     return _cut(order, term1, term2, term3, term4, term5, term6, term7)
 
 
@@ -291,10 +273,12 @@ def skew_rise_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
     a = b.alpha_poly
     ct = a ** (f + 1)
     term1 = b.geom_x_pow[t - f]
-    term2 = b.over_wu_ms(b.x_poly, b.line_x, (a, t - f + 2), (-ct, f + t + 2))
+    term2 = b.over_ms((b.x_poly, a), b.line_x, (a, t - f + 2, 0),
+                      (-ct, f + t + 2, 0))
     term3 = b.over_xu_yu(ct, f + t + 2)
     term4 = _quotient(b.gap_over_m(b.table_x, 1, t - f, a), b.line_y)
-    term5 = b.over_wu_ms(b.y_poly, b.line_y, (a, t - f + 2), (-ct, f + t + 2))
+    term5 = b.over_ms((b.y_poly, a), b.line_y, (a, t - f + 2, 0),
+                      (-ct, f + t + 2, 0))
     return _cut(order, term1, term2, term3, term4, term5)
 
 

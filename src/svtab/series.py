@@ -158,7 +158,11 @@ class MultiPoly:
     def __sub__(self, other) -> "MultiPoly":
         if isinstance(other, int):
             other = MultiPoly.const(other)
-        return self + (-other)
+        out = dict(self._terms)
+        get = out.get
+        for e, k in other._terms.items():
+            out[e] = get(e, 0) - k
+        return _wrap(out)
 
     def __rsub__(self, other) -> "MultiPoly":
         return MultiPoly.const(other) - self

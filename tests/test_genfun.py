@@ -1,7 +1,9 @@
 """Tests for the assembled generating functions against the path oracle."""
 
+import gc
 import hashlib
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -184,6 +186,21 @@ def test_series_blocks_are_shared():
     assert series_blocks(6) is not b
 
 
+def test_dropped_blocks_are_freed_without_the_cycle_collector():
+    # no table refers back to its blocks object or to a table holding it,
+    # so reference counting alone frees them all
+    b = SeriesBlocks(8)
+    b.table_ms[1][2], b.table_y[2][1], b.table_x[1][1], b.lines_xy
+    refs = [weakref.ref(obj) for obj in (b, b.zm_pow, b.table_x, b.table_y,
+                                         b.table_ms, b.table_ms[1])]
+    gc.disable()
+    try:
+        del b
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
 # sha256 of ZSeries.dump() above the verify grid's order 12: symbolic
 # gf_straight(t, 24) and gf_skew(f, t, 18), and both at x = y = alpha = 1
 # to order 48, taken from the term-by-term series products; and symbolic
@@ -191,12 +208,17 @@ def test_series_blocks_are_shared():
 # still divided by the dense (1 + x zM)(1 + y zM) and
 # (1 + w zM)(1 - alpha (zM)^2); and symbolic gf_straight(0, 60) and
 # gf_skew(1, 3, 36), taken at commit 2a29348, while the powers of zM were
-# still series products and M was solved by its convolution recurrence
+# still series products and M was solved by its convolution recurrence;
+# and symbolic gf_skew(3, 1, 30) and gf_skew(2, 0, 30), taken at commit
+# 3095dc1, while skew-drop terms 3, 4 and 5 still divided by dense sums of
+# powers of zM
 DUMP_SHA256 = {
     ("straight", 0, 0, 60, None): "b23d8d49fe52b9f7eb3c0fdef384e3041fb87ec56c11aaeb662f19b80a19b17a",
     ("skew", 1, 3, 36, None): "09a8aa3737c972a94c506b0ee3964d6c8fe2d7b57fce2bf19fa33ac8a543c59c",
     ("straight", 0, 0, 40, None): "cbf2ca581f4f378e7b227eb3d71c1f91d40dfba4bea54e01ef7edbfe9e9d9a13",
     ("skew", 1, 3, 30, None): "c0cd5641e17acede1c325ab7a48cea32cc7d1ccc50fec4027cdf3ddce5bc6572",
+    ("skew", 3, 1, 30, None): "6b544b86e47058f306b6cac72f627ae5a532e00b126139177a70c786993b5b21",
+    ("skew", 2, 0, 30, None): "5ca3116c10c1c6c67bdef46ad8a23648dce91643a653357e49315d5d4524ed36",
     ("straight", 0, 0, 24, None): "f00d265342113afaa810679430ba990861ab32358395c0ef5523422540cae424",
     ("straight", 0, 1, 24, None): "eda8a2bd0aeccdfe5ff8be261aaf01ceb89010498ece488a20d4a18f63b2b2e3",
     ("straight", 0, 2, 24, None): "ac57ba11c35b05f7b16cd74e42999f6ecc2a5a718ca72cba18f6702482e29813",
@@ -404,8 +426,8 @@ def test_m_equation_identities():
                 assert b.gap_over_m(table, i, j, ONE) * m == \
                     b.zm_pow[i + j] - table[i][j], subs
         one_minus_au2 = one - b.zm_pow[2].scale(a)
-        for j in range(1, 6):
-            assert b.over_ms(j) * one_minus_au2 == b.zm_pow[j], (subs, j)
+        for j in range(6):
+            assert b.table_ms[j][0] * one_minus_au2 == b.zm_pow[j], (subs, j)
         # a divisor of valuation v leaves the top v quotient coefficients
         # unknown; each numerator carries alpha, as in the term builders
         known = 9 - subs[:2].count(0)
@@ -413,19 +435,28 @@ def test_m_equation_identities():
             got = b.over_xu_yu(c, k) * (one + zm.scale(x)) * (one + zm.scale(y))
             assert got.truncate(known) == \
                 b.zm_pow[k].scale(c).truncate(known), (subs, c, k)
-        for w, line in ((x, b.line_x), (y, b.line_y)):
-            pieces = ((a, 2), (-a ** 2, 4), (a * y, 5))
-            got = (b.over_wu_ms(w, line, *pieces) * (one + zm.scale(w))
-                   * one_minus_au2)
-            want = b.combine(*((c, 0, b.zm_pow[k]) for c, k in pieces))
-            assert got.truncate(known) == want.truncate(known), (subs, w)
+        # over L (1 - alpha u^2) with L = 1 + w u, weights (w, alpha), and
+        # with L = x + alpha u, weights (1, x), on the numerators of
+        # skew-drop terms 3 and 5 at (f, t) = (2, 1), which L divides;
+        # k = 1 reads P_0
+        c, ct = a ** 2, a ** 3
+        cases = [((w, a), line, one + zm.scale(w),
+                  ((a, 1, 0), (-a ** 2, 4, 2), (a * y, 5, 1)))
+                 for w, line in ((x, b.line_x), (y, b.line_y))]
+        x_plus_au = ZSeries.constant(x, 9) + zm.scale(a)
+        cases += [((ONE, x), b.line_x, x_plus_au, pieces) for pieces in (
+            ((c, 2, 0), (-c, 1, 1), (-ct, 4, 0), (ct, 3, 1)),
+            ((ct, 2, 2), (-ct, 3, 1)))]
+        for weights, line, den, pieces in cases:
+            got = b.over_ms(weights, line, *pieces) * den * one_minus_au2
+            want = b.combine(*((c, 0, b.table_y[k][j]) for c, k, j in pieces))
+            assert got.truncate(known) == want.truncate(known), \
+                (subs, weights, pieces)
 
 
-def test_straight_and_rise_terms_divide_only_by_short_series(monkeypatch):
-    # Every straight and skew-rise term, and skew-drop term 7, divides by a
-    # line, line_x line_y or 1 - wz: no divisor has more than three nonzero
-    # coefficients.  Skew-drop terms 3, 4 and 5 still divide by dense sums of
-    # powers of zM.
+def test_every_term_divides_only_by_short_series(monkeypatch):
+    # Every term of every frame divides by a line, line_x line_y or
+    # 1 - wz: no divisor has more than three nonzero coefficients.
     sizes = []
     divide = ZSeries.exact_divide
 
@@ -434,14 +465,10 @@ def test_straight_and_rise_terms_divide_only_by_short_series(monkeypatch):
         return divide(num, den)
     monkeypatch.setattr(ZSeries, "exact_divide", recording)
     for subs in ((None, None, None), (0, None, None), (1, 1, None)):
-        for f, t in ((0, 0), (0, 3), (1, 1), (1, 3), (2, 3)):
+        for f, t in ((0, 0), (0, 3), (1, 0), (1, 1), (1, 3), (2, 3), (3, 1)):
             sizes.clear()
             frame_terms(f, t, 10, *subs)
             assert sizes and max(sizes) <= 3, (f, t, subs)
-        for f, t in ((1, 0), (3, 1)):
-            sizes.clear()
-            frame_terms(f, t, 10, *subs)
-            assert sum(1 for n in sizes if n > 3) == 3, (f, t, subs)
 
 
 def test_table_entries_are_the_products():

@@ -196,6 +196,25 @@ def test_substitute_and_derivatives_match_a_tuple_reference(p, x, y, alpha):
         for (a, b, c), k in terms.items())
 
 
+def _tuple_difference(left, right):
+    out = dict(left)
+    for exps, k in right.items():
+        out[exps] = out.get(exps, 0) - k
+    return {e: k for e, k in out.items() if k}
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_strategy(), poly_strategy(), st.integers(-9, 9))
+def test_differences_match_a_tuple_reference(p, q, k):
+    # one pass over a copy of the left side's map, zero coefficients dropped
+    want = _tuple_difference(p.terms, q.terms)
+    assert (p - q).terms == want
+    assert str(p - q) == _tuple_str(want)
+    assert (p - k).terms == _tuple_difference(p.terms, {(0, 0, 0): k})
+    assert (k - p).terms == _tuple_difference({(0, 0, 0): k}, p.terms)
+    assert (p - p).is_zero()
+
+
 def test_coefficient_reads_one_term():
     p = X * X * Y * 3 - ALPHA + 5
     assert p.coefficient(2, 1, 0) == 3
