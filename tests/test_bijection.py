@@ -97,6 +97,22 @@ def test_inadmissible_path_is_rejected():
         path_to_tableau(decode_path("1:uU"))
 
 
+@pytest.mark.parametrize("cells", [
+    ({1}, {2, 3}, {3, 4}, {5}),   # two cells share the entry 3
+    ({1}, {2}, {4}, {5}),         # the entry 3 is missing from 1..5
+    ({1}, {2, 3}, set(), {4, 5}),  # an empty cell
+    ({1}, {2, 3}, {4, 5}),        # three cells for a four-cell shape
+    ({2}, {1, 3}, {4}, {5}),      # row 1 reads 2 before 1
+    ({2}, {3}, {1}, {4, 5}),      # column 1 has 2 above 1
+], ids=["overlap", "missing-entry", "empty-cell", "cell-count",
+        "row-order", "column-order"])
+def test_malformed_tableau_is_rejected(cells):
+    # shape (2, 2) with entries 1..5; ({1}, {2, 3}, {4}, {5}) is valid
+    assert tableau_to_path(build(2, 0, 0, 5, {1}, {2, 3}, {4}, {5}))
+    with pytest.raises(ValueError):
+        tableau_to_path(build(2, 0, 0, 5, *cells))
+
+
 def test_empty_path_has_no_image():
     # tableaux need at least one entry, so length 0 is out of domain
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from svtab import formulas
 from svtab.formulas import (
     Convention,
     count_cor2,
@@ -246,6 +247,45 @@ def _thm7_term_by_term(n, f, t):
         total += sign(k - t - f - 1) * b(k - 1, t - f - 1) * (
             b(top, n - k - 1) - b(top, n - k - 2))
     return total
+
+
+def test_thm7_steps_only_the_binomials_that_can_change_the_sum(monkeypatch):
+    walks = []
+
+    def counting(a, b, db):
+        walks.append((a, b, db))
+        return Convention.binom_diagonal(a, b, db)
+
+    monkeypatch.setattr(formulas, "_diagonal", counting)
+    # (f, t) -> diagonals stepped: none at t = f; otherwise the leading
+    # binomial plus two bracket binomials at t = 0 and for t > f, three
+    # at t = 1 and four for 2 <= t < f
+    expected = {(1, 1): 0, (3, 3): 0, (1, 0): 3, (3, 0): 3, (1, 2): 3,
+                (2, 1): 4, (3, 1): 4, (3, 2): 5, (5, 3): 5}
+    for (f, t), calls in expected.items():
+        for n in (1, 7, 40):
+            walks.clear()
+            count_thm7(n, f, t)
+            assert len(walks) == calls, (n, f, t, walks)
+
+
+def test_binom_diagonal_does_not_walk_the_column_of_ones(monkeypatch):
+    walks = []
+    real = formulas._walk_diagonal
+
+    def counting(a, b, db):
+        walks.append((a, b, db))
+        return real(a, b, db)
+
+    monkeypatch.setattr(formulas, "_walk_diagonal", counting)
+    for a in range(12):
+        column = Convention.binom_diagonal(a, 0, 0)
+        assert [next(column) for _ in range(20)] == [1] * 20
+    assert walks == []
+    for a in (-1, -3):
+        column = Convention.binom_diagonal(a, 0, 0)
+        assert next(column) == 0
+    assert walks == [(-1, 0, 0), (-3, 0, 0)]
 
 
 def test_thm7_matches_term_by_term_reference():
