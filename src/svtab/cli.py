@@ -13,6 +13,7 @@ disagreement, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -269,7 +270,7 @@ def _parse_range(text: str) -> range:
 
 
 def _cmd_table(args) -> int:
-    ns = _parse_range(args.n)
+    ns = args.n
     if args.which == "thm7":
         if args.f is None:
             raise ContractViolation("table thm7 requires --f")
@@ -346,16 +347,35 @@ def _build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--f", type=int)
-    p.add_argument("--n", required=True, help="inclusive range, e.g. 2..8")
+    p.add_argument("--n", type=_parse_range, required=True,
+                   help="inclusive range, e.g. 2..8")
     p.add_argument("--format", choices=["csv"], default="csv")
     p.set_defaults(func=_cmd_table)
     return parser
 
 
+@contextlib.contextmanager
+def _counts_in_full():
+    # Counts print in full at any size: CPython (3.10.7 on) refuses to
+    # turn an int of more than 4,300 digits into a string.  The limit is
+    # lifted for the command only, after its arguments are parsed, and
+    # put back for in-process callers.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        with _counts_in_full():
+            return args.func(args)
     except (ContractViolation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,10 @@ strict sequence position.
 The weight of a path is the triple (c, d, e) counting umber horizontals,
 denim horizontals and down-steps; the length n satisfies
 c + d + 2e - f + t = n for a path from height f to height t.
+
+One search over one step table yields the admissible paths and, started
+with both colour gates open, the closed walks; weights are read off the
+finished paths.
 """
 
 from __future__ import annotations
@@ -49,19 +53,19 @@ class ColouredPath:
 def _step_table(umber_on_axis: bool) -> dict:
     # The step rules, once: for each state (h > 0, seen_up, seen_down),
     # the allowed moves in tag order D < U < d < u, each a tuple
-    # (step, rise, seen_up after, seen_down after, dc, dd, de).
+    # (step, rise, seen_up after, seen_down after).
     table = {}
     for above in (False, True):
         for seen_up in (False, True):
             for seen_down in (False, True):
                 moves = []
                 if above:
-                    moves.append((Step.DOWN, -1, seen_up, True, 0, 0, 1))
-                moves.append((Step.UP, 1, True, seen_down, 0, 0, 0))
+                    moves.append((Step.DOWN, -1, seen_up, True))
+                moves.append((Step.UP, 1, True, seen_down))
                 if seen_down:
-                    moves.append((Step.HOR_DENIM, 0, seen_up, True, 0, 1, 0))
+                    moves.append((Step.HOR_DENIM, 0, seen_up, True))
                 if seen_up and (above or umber_on_axis):
-                    moves.append((Step.HOR_UMBER, 0, True, seen_down, 1, 0, 0))
+                    moves.append((Step.HOR_UMBER, 0, True, seen_down))
                 table[above, seen_up, seen_down] = tuple(moves)
     return table
 
@@ -82,7 +86,7 @@ def is_admissible(path: ColouredPath) -> bool:
                 break
         else:
             return False
-        _, rise, seen_up, seen_down = move[:4]
+        _, rise, seen_up, seen_down = move
         h += rise
     return True
 
@@ -105,40 +109,36 @@ def enumerate_paths(n: int, f: int, t: int,
 
     Equivalent to filtering the 4^n step words; the search just abandons
     prefixes that already violate a constraint or cannot reach t.  Output
-    order is lexicographic on the step tags (D < U < d < u).
+    order is lexicographic on the step tags (D < U < d < u).  cde_filter
+    keeps the finished paths of exactly that weight.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
     if f < 0 or t < 0:
         raise ValueError("heights must be nonnegative")
     if n == 0:
-        if f == t and cde_filter in (None, (0, 0, 0)):
-            yield ColouredPath(f, ())
-        return
+        found = [ColouredPath(f, ())] if f == t else []
+    else:
+        found = _walk([], n, f, t, _STEPS, f, False, False)
+    if cde_filter is not None:
+        found = (p for p in found if weight(p) == cde_filter)
+    yield from found
 
-    yield from _walk([], n, f, t, cde_filter, f, False, False, 0, 0, 0)
 
-
-def _walk(prefix: list[Step], n: int, f: int, t: int,
-          cde_filter: Optional[tuple[int, int, int]], h: int, seen_up: bool,
-          seen_down: bool, c: int, d: int, e: int) -> Iterator[ColouredPath]:
-    # Extend prefix (at height h, weight c, d, e) in every admissible way
-    # that can still end at height t.  A module-level function, so no
-    # closure refers to itself and a call leaves no garbage cycle.
+def _walk(prefix: list[Step], n: int, f: int, t: int, table: dict, h: int,
+          seen_up: bool, seen_down: bool) -> Iterator[ColouredPath]:
+    # Extend prefix (at height h) by the moves of table in every way that
+    # can still end at height t.  A module-level function, so no closure
+    # refers to itself and a call leaves no garbage cycle.
     left = n - len(prefix) - 1
-    for s, rise, up, down, dc, dd, de in _STEPS[h > 0, seen_up, seen_down]:
+    for s, rise, up, down in table[h > 0, seen_up, seen_down]:
         if abs(h + rise - t) > left:
-            continue
-        if cde_filter is not None and (c + dc > cde_filter[0]
-                                       or d + dd > cde_filter[1]
-                                       or e + de > cde_filter[2]):
             continue
         if left:
             prefix.append(s)
-            yield from _walk(prefix, n, f, t, cde_filter, h + rise, up, down,
-                             c + dc, d + dd, e + de)
+            yield from _walk(prefix, n, f, t, table, h + rise, up, down)
             prefix.pop()
-        elif cde_filter is None or (c + dc, d + dd, e + de) == cde_filter:
+        else:
             yield ColouredPath(f, (*prefix, s))
 
 
@@ -175,27 +175,13 @@ def decode_path(text: str) -> ColouredPath:
     return ColouredPath(start, steps)
 
 
-def _closed_walk_weights(n: int, umber_on_axis: bool) -> Counter:
-    # all two-coloured Motzkin paths of length n from height 0 back to 0,
-    # optionally banning umber at height 0; no other constraints
-    out: Counter = Counter()
-    _closed_walks(out, _FREE_STEPS if umber_on_axis else _STEPS, n, 0,
-                  0, 0, 0)
-    return out
-
-
-def _closed_walks(out: Counter, table: dict, left: int, h: int,
-                  c: int, d: int, e: int) -> None:
-    # Both colour gates stay open, so only the height rules of the table
-    # apply.  Module level, so no closure refers to itself (no garbage
-    # cycle).
-    if left < h:
-        return
-    if left == 0:
-        out[(c, d, e)] += 1
-        return
-    for _, rise, _, _, dc, dd, de in table[h > 0, True, True]:
-        _closed_walks(out, table, left - 1, h + rise, c + dc, d + dd, e + de)
+def _closed_walk_weights(n: int, table: dict) -> Counter:
+    # All walks of length n from height 0 back to 0 under the height rules
+    # of table: the search starts with both colour gates open, so no
+    # colour rule applies.  The empty walk counts once.
+    if n == 0:
+        return Counter({(0, 0, 0): 1})
+    return Counter(map(weight, _walk([], n, 0, 0, table, 0, True, True)))
 
 
 def unconstrained_weight_counts(n: int) -> Counter:
@@ -204,9 +190,9 @@ def unconstrained_weight_counts(n: int) -> Counter:
     Independent oracle for the series solution of the height-0 weight
     generating function.
     """
-    return _closed_walk_weights(n, umber_on_axis=True)
+    return _closed_walk_weights(n, _FREE_STEPS)
 
 
 def no_axis_umber_weight_counts(n: int) -> Counter:
     """Same, but umber horizontals are banned at height 0."""
-    return _closed_walk_weights(n, umber_on_axis=False)
+    return _closed_walk_weights(n, _STEPS)

@@ -156,38 +156,36 @@ def enumerate_tableaux(shape: TwoRowShape, n: int,
     only while each placement keeps all ordering constraints satisfiable.
     The stream is ordered lexicographically by the cell-assignment vector
     (the cell index of entry 1, then of entry 2, and so on).  row_filter
-    restricts to tableaux with exactly that many entries in row 1 and 2.
+    keeps the finished tableaux with exactly that many entries in row 1
+    and 2.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     k = shape.cell_count
     if k == 0 or n < k:
         return
-    if row_filter is not None and (min(row_filter) < 0
-                                   or sum(row_filter) != n):
-        return
     preds: list[list[int]] = [[] for _ in range(k)]
     succs: list[list[int]] = [[] for _ in range(k)]
     for i, j in _cover_pairs(shape):
         preds[j].append(i)
         succs[i].append(j)
-    yield from _place(1, n, shape, shape.row1_cells, preds, succs,
-                      [[] for _ in range(k)], [0] * k,
-                      [len(p) for p in preds], k, [0, 0], row_filter)
+    found = _place(1, n, shape, preds, succs, [[] for _ in range(k)],
+                   [0] * k, [len(p) for p in preds], k)
+    if row_filter is not None:
+        rows = tuple(row_filter)
+        found = (tab for tab in found if tab.row_entry_counts() == rows)
+    yield from found
 
 
-def _place(entry: int, n: int, shape: TwoRowShape, r1: int,
+def _place(entry: int, n: int, shape: TwoRowShape,
            preds: list[list[int]], succs: list[list[int]],
            contents: list[list[int]], blocked: list[int], missing: list[int],
-           empty: int, row_counts: list[int],
-           row_filter: Optional[tuple[int, int]]
-           ) -> Iterator[SetValuedTableau]:
+           empty: int) -> Iterator[SetValuedTableau]:
     # Place entry..n into the partial filling contents, one list per cell,
     # undoing each placement after its subtree.  blocked[i] counts the
     # opened successors of cell i, missing[j] the unopened predecessors of
     # cell j and empty the unopened cells.  A module-level function, so
     # no closure refers to itself and a call leaves no garbage cycle.
-    # Cells below r1 are in the first row.
     remaining = n - entry + 1
     for cell in range(len(contents)):
         # a cell stops accepting entries once any later cell has opened
@@ -199,32 +197,24 @@ def _place(entry: int, n: int, shape: TwoRowShape, r1: int,
         empty_after = empty - opening
         if remaining - 1 < empty_after:
             continue
-        row = 0 if cell < r1 else 1
-        if row_filter is not None and row_counts[row] + 1 > row_filter[row]:
-            continue
         contents[cell].append(entry)
-        row_counts[row] += 1
         if opening:
             for p in preds[cell]:
                 blocked[p] += 1
             for s in succs[cell]:
                 missing[s] -= 1
         if entry == n:
-            if empty_after == 0 and (
-                    row_filter is None or row_counts[0] == row_filter[0]):
-                yield SetValuedTableau(
-                    shape, tuple(map(frozenset, contents)), n)
+            if empty_after == 0:
+                yield SetValuedTableau(shape, contents, n)
         else:
-            yield from _place(entry + 1, n, shape, r1, preds, succs,
-                              contents, blocked, missing, empty_after,
-                              row_counts, row_filter)
+            yield from _place(entry + 1, n, shape, preds, succs, contents,
+                              blocked, missing, empty_after)
         if opening:
             for p in preds[cell]:
                 blocked[p] -= 1
             for s in succs[cell]:
                 missing[s] += 1
         contents[cell].pop()
-        row_counts[row] -= 1
 
 
 def count_tableaux(shape: TwoRowShape, n: int,

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from svtab import bijection, formulas, paths
 from svtab.formulas import Convention
-from svtab.genfun import frame_terms, gf_skew, gf_straight
+from svtab.genfun import frame_terms
 from svtab.series import NonExactDivision, ZSeries
 
 AGREE = "agree"
@@ -174,9 +174,10 @@ def _tableau_counter(n: int, f: int, t: int) -> Counter:
 
 @lru_cache(maxsize=None)
 def _series(f: int, t: int, order: int) -> ZSeries:
-    if f == 0:
-        return gf_straight(t, order)
-    return gf_skew(f, t, order)
+    # the frame's generating function: the sum of the cached symbolic
+    # terms that the identity registry reads too
+    first, *rest = _frame_terms(f, t, order, _SYMBOLIC)
+    return sum(rest, first)
 
 
 # ---------------------------------------------------------------------------
@@ -679,11 +680,12 @@ def _reports(max_n: int) -> Iterator[CheckReport]:
         return
     for check in THEOREM_IDS:
         yield from check_theorem(check, max_n)
-    lemma_top = min(max_n, LEMMA_BOUND)
-    lemma_order = _series_order(lemma_top)
+    # one series order for every layer, so the identity registry reads
+    # the theorem checks' cached terms
+    order = _series_order(min(max_n, SERIES_BOUND))
     for lemma_id in LEMMA_IDS:
-        for n in range(1, lemma_top + 1):
-            yield check_lemma(lemma_id, n, lemma_order)
+        for n in range(1, min(max_n, LEMMA_BOUND) + 1):
+            yield check_lemma(lemma_id, n, order)
     yield from check_identity_10_1()
 
 

@@ -6,10 +6,13 @@ import io
 import itertools
 import json
 import os
+import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svtab import formulas
 from svtab.cli import main
 
 
@@ -271,6 +274,39 @@ def test_table_cor4(capsys):
     assert lines[0] == "n,count_cor4(t=0)"
     # closed admissible paths at t = 0 are counted by the Catalan numbers
     assert lines[1:] == ["2,1", "3,2", "4,5", "5,14", "6,42", "7,132", "8,429"]
+
+
+# cor4 at n = 7200 has 4,329 digits, past CPython's default limit of
+# 4,300 for turning an int into a string; Decimal renders it without it.
+_BIG_COUNT = str(Decimal(formulas.count_cor4(7200, 0)))
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("count", "--family", "straight", "--n", "7200", "--t", "0"),
+     f"{_BIG_COUNT}\n"),
+    (("count", "--family", "straight", "--n", "7200", "--t", "0",
+      "--format", "json"),
+     json.dumps({"n": 7200, "t": 0, "count": f"{_BIG_COUNT}/1"}) + "\n"),
+    (("table", "--which", "cor4", "--t", "0", "--n", "7200..7200"),
+     f"n,count_cor4(t=0)\n7200,{_BIG_COUNT}\n"),
+], ids=["plain", "json", "table"])
+def test_counts_print_in_full_past_the_digit_limit(capsys, argv, want):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert len(_BIG_COUNT) > 4300
+    assert run(capsys, *argv) == (0, want, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit to keep")
+def test_range_past_the_digit_limit_is_refused(capsys):
+    # Output lifts the digit limit, argument parsing keeps it: a range
+    # bound of more than 4,300 digits is refused, not run.
+    code, out, err = run(capsys, "table", "--which", "cor4", "--t", "0",
+                         "--n", "1.." + "9" * 4301)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: range must look like 2..8")
+    assert err.count("\n") == 1
 
 
 def test_table_thm7(capsys):

@@ -1,5 +1,6 @@
 """Tests for the coloured-path oracle."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -99,6 +100,15 @@ def test_cde_filter_consistency():
     assert count_paths(n, f, t, cde_filter=(99, 0, 0)) == 0
 
 
+@pytest.mark.parametrize("key", [(4, -2, 2), (1, 0, 0), (2, 0, 2, 0), (2, 0)],
+                         ids=["negative", "wrong-sum", "too-long", "too-short"])
+def test_cde_filter_no_path_meets_yields_nothing(key):
+    # Filters apply to finished paths, so one that no weight can equal
+    # yields an empty stream.
+    assert weight_counts(6, 1, 1)[2, 0, 2] > 0
+    assert list(enumerate_paths(6, 1, 1, cde_filter=key)) == []
+
+
 def test_enumeration_equals_filtered_step_words():
     # Reference straight from the definition: every one of the 4^n step
     # words in tag order D < U < d < u, kept when admissible and ending at
@@ -160,3 +170,32 @@ def test_no_axis_umber_walks_match_series():
         wc = no_axis_umber_weight_counts(n)
         expect = {key: k for key, k in m0[n].terms.items()}
         assert dict(wc) == expect
+
+
+def _closed_word_weights(n, umber_on_axis):
+    # Reference straight from the definition: the (c, d, e) Counter of the
+    # 4^n step words that stay at height >= 0 and end at 0, without an
+    # umber step at height 0 unless umber_on_axis.
+    rise = {Step.UP: 1, Step.DOWN: -1, Step.HOR_UMBER: 0, Step.HOR_DENIM: 0}
+    out = Counter()
+    for word in product(Step, repeat=n):
+        h = 0
+        for s in word:
+            if s is Step.HOR_UMBER and h == 0 and not umber_on_axis:
+                break
+            h += rise[s]
+            if h < 0:
+                break
+        else:
+            if h == 0:
+                out[word.count(Step.HOR_UMBER), word.count(Step.HOR_DENIM),
+                    word.count(Step.DOWN)] += 1
+    return out
+
+
+def test_closed_walks_equal_filtered_step_words():
+    for n in range(7):
+        assert unconstrained_weight_counts(n) == \
+            _closed_word_weights(n, umber_on_axis=True), n
+        assert no_axis_umber_weight_counts(n) == \
+            _closed_word_weights(n, umber_on_axis=False), n

@@ -156,6 +156,21 @@ def test_row_filter_matches_statistic():
         assert count_tableaux(shape, n, row_filter=(r1, n - r1)) == want
 
 
+@pytest.mark.parametrize("row_filter", [(7, -1), (3, 2), (3, 3, 0), (6,)],
+                         ids=["negative", "wrong-sum", "too-long", "too-short"])
+def test_row_filter_no_tableau_meets_yields_nothing(row_filter):
+    # Filters apply to finished tableaux, so one that no row split can
+    # equal yields an empty stream, a (3, 3) prefix of a longer one too.
+    assert list(enumerate_tableaux(TwoRowShape(2, 1), 6, row_filter)) == []
+
+
+def test_row_filter_list_is_read_as_tuple():
+    shape = TwoRowShape(e=2, t=1)
+    want = list(enumerate_tableaux(shape, 6, row_filter=(3, 3)))
+    assert want
+    assert list(enumerate_tableaux(shape, 6, row_filter=[3, 3])) == want
+
+
 def test_enumeration_is_deterministic():
     shape = TwoRowShape(e=2, t=1, f=1)
     a = [tab.content for tab in enumerate_tableaux(shape, 6)]

@@ -252,10 +252,9 @@ def test_brute_force_layers_visit_every_object(monkeypatch):
     assert seen["tableaux"] == seen["scans"] == seen["tableau maps"] > 0
 
 
-def test_lemma_layer_builds_each_frame_reading_once(monkeypatch):
-    # Every left side is a term of one cached frame_terms call, so the
-    # lemma layer asks each term builder for each argument set once: 16
-    # frames symbolic, 16 at x = y = alpha = 1, 4 straight at x = y = 1.
+def _count_term_builders(monkeypatch) -> Counter:
+    # Count the calls of each term builder by argument set, from cold
+    # frame caches.
     calls = Counter()
 
     def counted(real):
@@ -266,13 +265,35 @@ def test_lemma_layer_builds_each_frame_reading_once(monkeypatch):
 
     for name in ("straight_terms", "skew_drop_terms", "skew_rise_terms"):
         monkeypatch.setattr(genfun, name, counted(getattr(genfun, name)))
-    verify._frame_terms.cache_clear()
+    for cache in (verify._frame_terms, verify._series):
+        cache.cache_clear()
+    return calls
+
+
+def test_lemma_layer_builds_each_frame_reading_once(monkeypatch):
+    # Every left side is a term of one cached frame_terms call, so the
+    # lemma layer asks each term builder for each argument set once: 16
+    # frames symbolic, 16 at x = y = alpha = 1, 4 straight at x = y = 1.
+    calls = _count_term_builders(monkeypatch)
     try:
         for lemma_id in verify.LEMMA_IDS:
             for n in range(1, verify.LEMMA_BOUND + 1):
                 check_lemma(lemma_id, n, verify.LEMMA_BOUND)
     finally:
         verify._frame_terms.cache_clear()
+    assert sum(calls.values()) == len(calls) == 36
+
+
+def test_run_all_builds_each_frame_reading_once(monkeypatch):
+    # The theorem checks sum the symbolic terms that the identity registry
+    # reads, and both read them at one series order, so a whole run asks
+    # for the same 36 argument sets as the lemma layer alone, once each.
+    calls = _count_term_builders(monkeypatch)
+    try:
+        run_all(12)
+    finally:
+        for cache in (verify._frame_terms, verify._series):
+            cache.cache_clear()
     assert sum(calls.values()) == len(calls) == 36
 
 
