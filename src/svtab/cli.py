@@ -19,6 +19,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Optional, Sequence, Union
 
 from svtab import bijection, formulas, verify
@@ -275,26 +276,27 @@ def _cmd_table(args) -> int:
         if args.f is None:
             raise ContractViolation("table thm7 requires --f")
         header = f"n,count_thm7(f={args.f},t={args.t})"
-        rows = [(n, formulas.count_thm7(n, args.f, args.t)) for n in ns]
+        value = lambda n: formulas.count_thm7(n, args.f, args.t)
     elif args.which == "cor4":
         if args.f is not None:
             raise ContractViolation("--f applies only to thm7 tables")
         header = f"n,count_cor4(t={args.t})"
-        rows = [(n, formulas.count_cor4(n, args.t)) for n in ns]
+        value = lambda n: formulas.count_cor4(n, args.t)
     else:
         if args.f is not None:
             raise ContractViolation("--f applies only to thm7 tables")
         if ns and ns.start < 2:
             raise ContractViolation("expected-value tables need n >= 2")
         header = f"n,expected_thm5(t={args.t})"
-        rows = []
-        for n in ns:
-            value = formulas.expected_thm5(n, args.t)
-            rows.append((n, "" if value is None else value))
+        value = lambda n: formulas.expected_thm5(n, args.t)
+    # Rows print as they are computed.  The first one is computed before
+    # the header, so a range whose first n the formula rejects prints
+    # nothing on stdout.
+    rows = ((n, value(n)) for n in ns)
+    first = list(islice(rows, 1))
     print(header)
-    for n, value in rows:
-        text = value if isinstance(value, str) else _plain(value)
-        print(f"{n},{text}")
+    for n, v in chain(first, rows):
+        print(f"{n},{'' if v is None else _plain(v)}")
     return 0
 
 

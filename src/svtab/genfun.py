@@ -71,7 +71,6 @@ class SeriesBlocks:
         self.z = ZSeries.z(order)
         subs = (x_val, y_val, alpha_val)
         self.zm_pow = Table(lambda _, k: zm_power(k, order, *subs))
-        self.zm = self.zm_pow[1]
         # the tables hold no reference to self, so a dropped blocks object
         # is freed at once, not by the cycle collector
         zm_pow, one_minus_yz = self.zm_pow, self.one - self.z.scale(self.y_poly)
@@ -82,8 +81,6 @@ class SeriesBlocks:
                                    one_minus_yz)
         self.geom_x_pow = self.table_x[0]
         self.geom_y_pow = self.table_y[0]
-        self.geom_x = self.geom_x_pow[1]   # z/(1-xz)
-        self.geom_y = self.geom_y_pow[1]   # z/(1-yz)
         # (w + alpha u)(1 + w u) = M line_w: the two-term lines
         self.slope_poly = self.alpha_poly - self.x_poly * self.y_poly
         slope = self.z.scale(self.slope_poly)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator
 
 
 class Step(Enum):
@@ -102,15 +102,12 @@ def weight(path: ColouredPath) -> tuple[int, int, int]:
     return tuple(map(path.steps.count, _WEIGHT_STEPS))
 
 
-def enumerate_paths(n: int, f: int, t: int,
-                    cde_filter: Optional[tuple[int, int, int]] = None
-                    ) -> Iterator[ColouredPath]:
+def enumerate_paths(n: int, f: int, t: int) -> Iterator[ColouredPath]:
     """All admissible length-n paths from height f to height t.
 
     Equivalent to filtering the 4^n step words; the search just abandons
     prefixes that already violate a constraint or cannot reach t.  Output
-    order is lexicographic on the step tags (D < U < d < u).  cde_filter
-    keeps the finished paths of exactly that weight.
+    order is lexicographic on the step tags (D < U < d < u).
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
@@ -120,8 +117,6 @@ def enumerate_paths(n: int, f: int, t: int,
         found = [ColouredPath(f, ())] if f == t else []
     else:
         found = _walk([], n, f, t, _STEPS, f, False, False)
-    if cde_filter is not None:
-        found = (p for p in found if weight(p) == cde_filter)
     yield from found
 
 
@@ -142,9 +137,8 @@ def _walk(prefix: list[Step], n: int, f: int, t: int, table: dict, h: int,
             yield ColouredPath(f, (*prefix, s))
 
 
-def count_paths(n: int, f: int, t: int,
-                cde_filter: Optional[tuple[int, int, int]] = None) -> int:
-    return sum(1 for _ in enumerate_paths(n, f, t, cde_filter))
+def count_paths(n: int, f: int, t: int) -> int:
+    return sum(1 for _ in enumerate_paths(n, f, t))
 
 
 def weight_counts(n: int, f: int, t: int) -> Counter:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -147,17 +147,14 @@ def is_valid_quantified(tab: SetValuedTableau) -> bool:
     return True
 
 
-def enumerate_tableaux(shape: TwoRowShape, n: int,
-                       row_filter: Optional[tuple[int, int]] = None
-                       ) -> Iterator[SetValuedTableau]:
+def enumerate_tableaux(shape: TwoRowShape,
+                       n: int) -> Iterator[SetValuedTableau]:
     """Yield every valid tableau of the shape with entries 1..n.
 
     The entries are placed in increasing order; a partial filling survives
     only while each placement keeps all ordering constraints satisfiable.
     The stream is ordered lexicographically by the cell-assignment vector
-    (the cell index of entry 1, then of entry 2, and so on).  row_filter
-    keeps the finished tableaux with exactly that many entries in row 1
-    and 2.
+    (the cell index of entry 1, then of entry 2, and so on).
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -169,12 +166,8 @@ def enumerate_tableaux(shape: TwoRowShape, n: int,
     for i, j in _cover_pairs(shape):
         preds[j].append(i)
         succs[i].append(j)
-    found = _place(1, n, shape, preds, succs, [[] for _ in range(k)],
-                   [0] * k, [len(p) for p in preds], k)
-    if row_filter is not None:
-        rows = tuple(row_filter)
-        found = (tab for tab in found if tab.row_entry_counts() == rows)
-    yield from found
+    yield from _place(1, n, shape, preds, succs, [[] for _ in range(k)],
+                      [0] * k, [len(p) for p in preds], k)
 
 
 def _place(entry: int, n: int, shape: TwoRowShape,
@@ -217,9 +210,8 @@ def _place(entry: int, n: int, shape: TwoRowShape,
         contents[cell].pop()
 
 
-def count_tableaux(shape: TwoRowShape, n: int,
-                   row_filter: Optional[tuple[int, int]] = None) -> int:
-    return sum(1 for _ in enumerate_tableaux(shape, n, row_filter))
+def count_tableaux(shape: TwoRowShape, n: int) -> int:
+    return sum(1 for _ in enumerate_tableaux(shape, n))
 
 
 def shape_range(n: int, f: int, t: int) -> Iterator[TwoRowShape]:

@@ -653,14 +653,14 @@ def check_lemma(lemma_id: int, n: int, order: int) -> CheckReport:
     return _timed(rep, started)
 
 
-def check_identity_10_1(bound: int = IDENTITY_BOUND) -> list[CheckReport]:
+def check_identity_10_1() -> list[CheckReport]:
     """The alternating row-sum identity used to collapse the inner b-sums.
 
     sum_{L=0..K} (-1)^(K-L) binom(M, L) against binom(M-1, K), evaluated
-    with the package binomial convention for 0 <= K <= M <= bound.
+    with the package binomial convention for 0 <= K <= M <= IDENTITY_BOUND.
     """
     reports = []
-    for m in range(bound + 1):
+    for m in range(IDENTITY_BOUND + 1):
         for k in range(m + 1):
             started = time.perf_counter()
             lhs = sum(_sign(k - l) * _binom(m, l) for l in range(k + 1))

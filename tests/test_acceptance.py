@@ -7,6 +7,7 @@ the defect region spelled out.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 
 from svtab.formulas import (
@@ -60,15 +61,17 @@ def emit(line):
 
 
 def refined_layers(n, f, t, series):
-    shape_cache = {}
+    # one enumeration per shape; weight (c, d, e) puts c + row1_cells
+    # entries in row 1 and d + row2_cells in row 2
+    by_shape = {}
     wc = weight_counts(n, f, t)
     for (c, d, e) in feasible_weights(n, f, t):
-        shape = shape_cache.get(e)
-        if shape is None:
-            shape = shape_cache[e] = TwoRowShape(e=e, t=t, f=f)
-        tab = count_tableaux(
-            shape, n,
-            row_filter=(c + shape.row1_cells, d + shape.row2_cells))
+        if e not in by_shape:
+            shape = TwoRowShape(e=e, t=t, f=f)
+            by_shape[e] = shape, Counter(
+                tab.row_entry_counts() for tab in enumerate_tableaux(shape, n))
+        shape, rows = by_shape[e]
+        tab = rows[c + shape.row1_cells, d + shape.row2_cells]
         pat = wc.get((c, d, e), 0)
         ser = refined_coefficient(series, n, c, d, e)
         if f == 0:

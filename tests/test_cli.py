@@ -6,8 +6,11 @@ import io
 import itertools
 import json
 import os
+import re
+import shlex
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -319,6 +322,22 @@ def test_table_thm7(capsys):
     assert lines[2] == "3,6"
 
 
+def test_table_prints_its_rows_before_a_later_row_fails(capsys, monkeypatch):
+    count_cor4 = formulas.count_cor4
+
+    def failing_at_4(n, t):
+        if n == 4:
+            raise ValueError("n = 4 is out of range")
+        return count_cor4(n, t)
+
+    monkeypatch.setattr(formulas, "count_cor4", failing_at_4)
+    code, out, err = run(capsys, "table", "--which", "cor4",
+                         "--t", "0", "--n", "2..6")
+    assert (code, out) == (1, "n,count_cor4(t=0)\n2,1\n3,2\n")
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
 def test_table_empty_range_header_only(capsys):
     code, out, _ = run(capsys, "table", "--which", "cor4",
                        "--t", "0", "--n", "5..4")
@@ -435,3 +454,19 @@ def test_thm7_table_bytes_are_pinned(capsys):
         assert code == 0
         got[f, t] = hashlib.sha256(out.encode()).hexdigest()
     assert got == THM7_TABLE_SHA256
+
+
+def test_readme_command_values(capsys):
+    # Each `svtab ...  # <value>` line of README's "Command line" block
+    # whose comment is an integer or p/q prints that value first.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    cases = []
+    for line in block.split("```", 1)[0].splitlines():
+        command, _, comment = line.partition("#")
+        if re.fullmatch(r"-?\d+(/\d+)?", comment.strip()):
+            cases.append((shlex.split(command)[1:], comment.strip()))
+    assert cases
+    for argv, want in cases:
+        code, out, _ = run(capsys, *argv)
+        assert (code, out.split("\n", 1)[0]) == (0, want), argv

@@ -92,28 +92,10 @@ def test_weight_counts_totals():
             assert c + d + 2 * e - f + t == n
 
 
-def test_cde_filter_consistency():
-    n, f, t = 6, 1, 1
-    wc = weight_counts(n, f, t)
-    for key, k in wc.items():
-        assert count_paths(n, f, t, cde_filter=key) == k
-    assert count_paths(n, f, t, cde_filter=(99, 0, 0)) == 0
-
-
-@pytest.mark.parametrize("key", [(4, -2, 2), (1, 0, 0), (2, 0, 2, 0), (2, 0)],
-                         ids=["negative", "wrong-sum", "too-long", "too-short"])
-def test_cde_filter_no_path_meets_yields_nothing(key):
-    # Filters apply to finished paths, so one that no weight can equal
-    # yields an empty stream.
-    assert weight_counts(6, 1, 1)[2, 0, 2] > 0
-    assert list(enumerate_paths(6, 1, 1, cde_filter=key)) == []
-
-
 def test_enumeration_equals_filtered_step_words():
     # Reference straight from the definition: every one of the 4^n step
     # words in tag order D < U < d < u, kept when admissible and ending at
-    # height t.  The enumerator must yield exactly these, in this order,
-    # with and without a weight filter.
+    # height t.  The enumerator must yield exactly these, in this order.
     tags = sorted(Step, key=lambda s: s.value)
     for n in range(7):
         words = list(product(tags, repeat=n))
@@ -122,9 +104,6 @@ def test_enumeration_equals_filtered_step_words():
                 ref = [p for p in (ColouredPath(f, w) for w in words)
                        if is_admissible(p) and p.end_height == t]
                 assert list(enumerate_paths(n, f, t)) == ref, (n, f, t)
-                for key in {weight(p) for p in ref} | {(1, 0, n)}:
-                    assert list(enumerate_paths(n, f, t, cde_filter=key)) == \
-                        [p for p in ref if weight(p) == key], (n, f, t, key)
 
 
 def test_encode_decode_round_trip():

@@ -1,6 +1,7 @@
 """Tests for the tableau oracle: shapes, validity, enumeration."""
 
 import gc
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -136,41 +137,6 @@ def test_enumeration_yields_valid_distinct_tableaux():
     assert len(seen) == count_tableaux(shape, 6)
 
 
-def test_row_filter_partitions_total():
-    shape = TwoRowShape(e=2, t=1)
-    n = 6
-    total = count_tableaux(shape, n)
-    by_rows = 0
-    for r1 in range(n + 1):
-        by_rows += count_tableaux(shape, n, row_filter=(r1, n - r1))
-    assert by_rows == total
-    assert count_tableaux(shape, n, row_filter=(0, n)) == 0
-
-
-def test_row_filter_matches_statistic():
-    shape = TwoRowShape(e=2, t=0)
-    n = 5
-    for r1 in range(n + 1):
-        want = sum(1 for tab in enumerate_tableaux(shape, n)
-                   if tab.row_entry_counts() == (r1, n - r1))
-        assert count_tableaux(shape, n, row_filter=(r1, n - r1)) == want
-
-
-@pytest.mark.parametrize("row_filter", [(7, -1), (3, 2), (3, 3, 0), (6,)],
-                         ids=["negative", "wrong-sum", "too-long", "too-short"])
-def test_row_filter_no_tableau_meets_yields_nothing(row_filter):
-    # Filters apply to finished tableaux, so one that no row split can
-    # equal yields an empty stream, a (3, 3) prefix of a longer one too.
-    assert list(enumerate_tableaux(TwoRowShape(2, 1), 6, row_filter)) == []
-
-
-def test_row_filter_list_is_read_as_tuple():
-    shape = TwoRowShape(e=2, t=1)
-    want = list(enumerate_tableaux(shape, 6, row_filter=(3, 3)))
-    assert want
-    assert list(enumerate_tableaux(shape, 6, row_filter=[3, 3])) == want
-
-
 def test_enumeration_is_deterministic():
     shape = TwoRowShape(e=2, t=1, f=1)
     a = [tab.content for tab in enumerate_tableaux(shape, 6)]
@@ -183,7 +149,7 @@ def test_enumeration_equals_filtered_assignments():
     # entries 1..n to cells, in lexicographic order of the vector (cell of
     # entry 1, cell of entry 2, ...), kept when no cell is empty and the
     # all-pairs check accepts it.  The enumerator must yield exactly these,
-    # in this order, with and without a row filter.
+    # in this order.
     shapes = [TwoRowShape(e, t, f) for e in range(5) for t in range(5)
               for f in range(e + t + 1) if 2 * e + t - f <= 4]
     for shape in shapes:
@@ -199,11 +165,6 @@ def test_enumeration_equals_filtered_assignments():
                     if is_valid_quantified(tab):
                         ref.append(tab)
             assert list(enumerate_tableaux(shape, n)) == ref, (shape, n)
-            for m in range(n + 1):
-                assert list(enumerate_tableaux(
-                    shape, n, row_filter=(m, n - m))) == \
-                    [tab for tab in ref
-                     if tab.row_entry_counts() == (m, n - m)], (shape, n, m)
 
 
 def test_shape_range_counts_and_row_split():
@@ -216,15 +177,18 @@ def test_shape_range_counts_and_row_split():
         for f in range(4):
             for t in range(4):
                 w = tableau_weight_counts(n, f, t)
+                rows = Counter()
                 for shape in shape_range(n, f, t):
+                    by_rows = Counter(tab.row_entry_counts()
+                                      for tab in enumerate_tableaux(shape, n))
                     assert sum(k for (_, _, e), k in w.items()
                                if e == shape.e) == \
-                        count_tableaux(shape, n), (n, shape)
+                        sum(by_rows.values()), (n, shape)
+                    rows += by_rows
                 for m in range(n + 1):
                     assert sum(k for (c, _, e), k in w.items()
                                if c + e + t - f == m) == \
-                        sum(count_tableaux(shape, n, row_filter=(m, n - m))
-                            for shape in shape_range(n, f, t)), (n, f, t, m)
+                        rows[m, n - m], (n, f, t, m)
 
 
 def _drain_early(stream):
@@ -234,15 +198,12 @@ def _drain_early(stream):
 
 @pytest.mark.parametrize("run", [
     lambda: list(enumerate_tableaux(TwoRowShape(2, 1, 0), 6)),
-    lambda: list(enumerate_tableaux(TwoRowShape(2, 1, 1), 6,
-                                    row_filter=(3, 3))),
     lambda: _drain_early(enumerate_tableaux(TwoRowShape(2, 1, 0), 6)),
     lambda: list(enumerate_paths(5, 0, 1)),
-    lambda: list(enumerate_paths(5, 1, 0, cde_filter=(2, 0, 2))),
     lambda: _drain_early(enumerate_paths(5, 0, 1)),
     lambda: unconstrained_weight_counts(4),
-], ids=["tableaux", "tableaux-row-filter", "tableaux-closed-early", "paths",
-        "paths-cde-filter", "paths-closed-early", "closed-walks"])
+], ids=["tableaux", "tableaux-closed-early", "paths", "paths-closed-early",
+        "closed-walks"])
 def test_enumerators_leave_no_garbage_cycles(run):
     gc.collect()
     gc.disable()

@@ -155,7 +155,7 @@ def test_lemma_rejects_bad_arguments():
 
 
 def test_identity_10_1_only_origin_fails():
-    reports = check_identity_10_1(bound=10)
+    reports = check_identity_10_1()
     bad = [r for r in reports if r.status == "disagree"]
     assert [(r.params["K"], r.params["M"]) for r in bad] == [(0, 0)]
     assert all(report_is_documented(r) for r in bad)
