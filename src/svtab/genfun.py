@@ -188,10 +188,11 @@ def _quotient(num: ZSeries, den: ZSeries) -> ZSeries:
 
 
 # One entry: callers ask for the same (order, substitution) many times in
-# a row and seldom come back to an older one (verify --max-n 12 builds 12
-# blocks for 189 requests, 7 of them distinct), while an order-24 symbolic
-# set holds about 2.8 MB once its tables serve the straight frames t <= 3
-# and the skew frames (1, 3), (2, 0) and (3, 1) (tracemalloc).
+# a row and seldom come back to an older one (run_all(12) builds 4 blocks
+# for 36 requests over 3 distinct keys), while an order-24 symbolic set
+# holds about 2.8 MB once its tables serve the straight frames t <= 3 and
+# the skew frames (1, 3), (2, 0) and (3, 1) (tracemalloc's traced total
+# after those builds, less the total once this cache is cleared).
 @substitution_cache(maxsize=1)
 def series_blocks(order: int, x_val: Optional[int] = None,
                   y_val: Optional[int] = None,

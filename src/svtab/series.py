@@ -3,9 +3,11 @@
 Coefficients are polynomials in x, y and alpha with arbitrary-precision
 integer coefficients; z is the series variable.  Everything is exact:
 there is no fraction field, and division of series is only allowed when
-every step of the coefficient recursion divides exactly.  A failed
-division raises NonExactDivision, which in this package always means a
-generating-function expression was transcribed wrongly.
+every step of the coefficient recursion divides exactly.  The divisor's
+lowest nonzero coefficient must be a single term, which each step
+divides term by term; every divisor the generating functions use meets
+this.  A failed division raises NonExactDivision, which in this package
+always means a generating-function expression was transcribed wrongly.
 
 A polynomial keys each term x^a y^b alpha^c by one int,
 a << 42 | b << 21 | c: three 21-bit fields whose top bits are guard
@@ -116,9 +118,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_one(self) -> bool:
-        return self._terms == {0: 1}
-
     def constant_value(self) -> Optional[int]:
         if not self._terms:
             return 0
@@ -204,58 +203,25 @@ class MultiPoly:
         return out
 
     def divexact(self, other: "MultiPoly") -> "MultiPoly":
-        """Exact polynomial quotient, or NonExactDivision.
+        """Exact quotient by a one-term divisor, or NonExactDivision.
 
-        Single-divisor division with respect to the lexicographic term
-        order; since one polynomial is always a Groebner basis of its own
-        ideal, the remainder vanishes exactly when the division is exact.
-        A one-term divisor divides each term on its own.  A term e is
-        divisible by the leading term when (e | GUARD) - lead keeps every
-        guard bit: a field that would borrow clears its own.
+        Each term is divided on its own.  A term e is divisible by the
+        divisor's term when (e | GUARD) - lead keeps every guard bit: a
+        field that would borrow clears its own.  A divisor of two or more
+        terms raises ValueError.
         """
         if other.is_zero():
             raise NonExactDivision("division by the zero polynomial")
-        if self.is_zero():
-            return MultiPoly()
-        div = other._terms
-        if len(div) == 1:
-            (lead, lead_coeff), = div.items()
-            quot = {}
-            for e, k in self._terms.items():
-                d = (e | _GUARD) - lead
-                if d & _GUARD != _GUARD or k % lead_coeff:
-                    raise NonExactDivision(
-                        f"{other} does not divide {self} exactly")
-                quot[d ^ _GUARD] = k // lead_coeff
-            return _wrap(quot)
-        lead = max(div)
-        lead_coeff = div[lead]
-        # the divisor's largest exponent in each variable, packed: a
-        # quotient term d whose d + span sets a guard bit would put a
-        # term past the field width into the remainder
-        span = sum(max(e & field for e in div) for field in _FIELDS)
-        rem = dict(self._terms)
-        quot: dict[int, int] = {}
-        while rem:
-            e = max(rem)
-            k = rem[e]
+        if len(other._terms) > 1:
+            raise ValueError(f"divexact needs a one-term divisor, got {other}")
+        (lead, lead_coeff), = other._terms.items()
+        quot = {}
+        for e, k in self._terms.items():
             d = (e | _GUARD) - lead
             if d & _GUARD != _GUARD or k % lead_coeff:
                 raise NonExactDivision(
                     f"{other} does not divide {self} exactly")
-            d ^= _GUARD
-            if (d + span) & _GUARD:
-                raise OverflowError(
-                    f"dividing by {other} passes exponent {_MASK}")
-            q = k // lead_coeff
-            quot[d] = quot.get(d, 0) + q
-            for e2, k2 in div.items():
-                tgt = d + e2
-                nv = rem.get(tgt, 0) - q * k2
-                if nv:
-                    rem[tgt] = nv
-                else:
-                    rem.pop(tgt, None)
+            quot[d ^ _GUARD] = k // lead_coeff
         return _wrap(quot)
 
     def alpha_derivative(self) -> "MultiPoly":
@@ -447,24 +413,13 @@ class ZSeries:
                 return i
         return None
 
-    def unit_inverse(self) -> "ZSeries":
-        """Inverse of a series with constant term 1."""
-        if not self.coeffs[0].is_one():
-            raise ValueError("unit_inverse needs constant term 1")
-        n = self.order
-        c = self.coeffs
-        steps = [j for j in range(1, n + 1) if c[j]]
-        out = [ONE]
-        for k in range(1, n + 1):
-            out.append(-MultiPoly.sum_of_products(
-                (c[j], out[k - j]) for j in steps if j <= k))
-        return ZSeries(n, out)
-
     def exact_divide(self, other: "ZSeries") -> "ZSeries":
         """Quotient Q with Q*other = self modulo z^(order+1).
 
-        Raises NonExactDivision when a coefficient step fails to divide
-        exactly or when the numerator's valuation is too small.
+        The divisor's lowest nonzero coefficient must be one term; every
+        step divides by it with MultiPoly.divexact, so a longer one raises
+        ValueError.  Raises NonExactDivision when a coefficient step fails
+        to divide exactly or when the numerator's valuation is too small.
         """
         self._check(other)
         n = self.order
@@ -607,7 +562,7 @@ def solve_M0(order: int, x_val: Optional[int] = None, y_val: Optional[int] = Non
     al = ALPHA.substitute(alpha=alpha_val)
     one = ZSeries.one(order)
     denom = one - ZSeries.z(order).scale(y) - m.shift(2).scale(al)
-    return denom.unit_inverse()
+    return one.exact_divide(denom)
 
 
 class ReversionCheck:

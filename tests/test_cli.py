@@ -456,13 +456,18 @@ def test_thm7_table_bytes_are_pinned(capsys):
     assert got == THM7_TABLE_SHA256
 
 
+def _readme_block(heading, fence):
+    # the lines of the first code block under a README heading
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split(heading, 1)[1].split(fence, 1)[1]
+    return block.split("```", 1)[0].splitlines()
+
+
 def test_readme_command_values(capsys):
     # Each `svtab ...  # <value>` line of README's "Command line" block
     # whose comment is an integer or p/q prints that value first.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
     cases = []
-    for line in block.split("```", 1)[0].splitlines():
+    for line in _readme_block("## Command line", "```sh\n"):
         command, _, comment = line.partition("#")
         if re.fullmatch(r"-?\d+(/\d+)?", comment.strip()):
             cases.append((shlex.split(command)[1:], comment.strip()))
@@ -470,3 +475,19 @@ def test_readme_command_values(capsys):
     for argv, want in cases:
         code, out, _ = run(capsys, *argv)
         assert (code, out.split("\n", 1)[0]) == (0, want), argv
+
+
+def test_readme_library_values():
+    # After the imports of README's "Library" block, every other line is
+    # `expr  # <int>` and the expression evaluates to that int.
+    namespace, cases = {}, []
+    for line in _readme_block("## Library", "```python\n"):
+        code, _, comment = line.partition("#")
+        if code.startswith(("from ", "import ")):
+            exec(code, namespace)
+        elif line.strip():
+            assert re.fullmatch(r"-?\d+", comment.strip()), line
+            cases.append((code.strip(), int(comment)))
+    assert cases
+    for expr, want in cases:
+        assert eval(expr, namespace) == want, expr

@@ -281,10 +281,10 @@ class _Reference:
         self.one = one = ZSeries.one(order)
         z = ZSeries.z(order)
         zm = solve_M(order, *subs).shift(1)
-        inv_one_minus_yz = (one - z.scale(y)).unit_inverse()
+        inv_one_minus_yz = one.exact_divide(one - z.scale(y))
         self.bases = {
             "zm": zm,
-            "gx": (one - z.scale(x)).unit_inverse().shift(1),
+            "gx": one.exact_divide(one - z.scale(x)).shift(1),
             "gy": inv_one_minus_yz.shift(1),
             "ratio_y": zm.shift(1).scale(a) * inv_one_minus_yz,
         }
