@@ -340,7 +340,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("verify", help="run the cross-check harness")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument(
+        "--max-n", type=int, required=True,
+        help="largest n to check, capped per layer: series and formulas "
+             "at 12 for thm1 and thm6 and at 9 otherwise, tableaux at 8 "
+             "(9 for thm5), paths at 9 (8 for thm1 and thm6), lemmas at "
+             "10; any --max-n above 12 gives the same 2,900 reports as 12")
     p.add_argument("--report", help="write the full JSON report here")
     p.set_defaults(func=_cmd_verify)
 

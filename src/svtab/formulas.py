@@ -6,14 +6,11 @@ factorial of a negative number is zero outright, binomials vanish outside
 0 <= b <= a, and chi(S) is the 0/1 truth indicator.  The negative-factorial
 test runs before any other factor of a term is formed, so companion
 factors like 1/(d+e) are never evaluated for a term that is already dead.
-The summands of a k-sum are still the displayed terms, but where every
-binomial index moves by one from k to k + 1 (count_thm7), each binomial is
-reached along its diagonal with one exact multiply and divide instead of
-being evaluated afresh.  Only the binomials that can change the sum are
-stepped: a k-sum whose summands the convention makes zero for every k
-(count_thm7 at t = f) is not run, a binomial that a summand displays
-twice (count_thm7 at t = 0 and t = 1) is stepped once, and a diagonal
-that is 1 all along is not stepped.
+count_thm7's k-sum is the exception to "term by term": its summand is a
+hypergeometric term in k, the leading binomial times C(a, low) times a
+ratio of small integers, so one exact multiply and divide steps it from
+k to k + 1 (see its docstring for why every quotient is exact).  Its
+sum ends where the convention makes every later summand zero.
 
 All arithmetic is exact.  Where an evaluator's expression fails to match
 the exhaustive oracles (the verification harness measures this on desk
@@ -25,9 +22,8 @@ passed through unchanged as evidence.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from math import comb, factorial
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 Count = Union[int, Fraction]
 
@@ -40,21 +36,6 @@ class Convention:
         if b < 0 or a < 0 or b > a:
             return 0
         return comb(a, b)
-
-    @staticmethod
-    def binom_diagonal(a: int, b: int, db: int) -> Iterator[int]:
-        """binom(a + i, b + i * db) for i = 0, 1, 2, ..., with db 0 or -1.
-
-        A nonzero value gives the next by one exact integer step,
-        C(a+1, b) = C(a, b) (a+1) / (a+1-b) and
-        C(a+1, b-1) = C(a, b) (a+1) b / ((a-b+1) (a-b+2)).
-        A zero value (outside 0 <= b <= a) is taken from binom again, so
-        the convention's zeros hold all along the diagonal.  The column
-        b = 0 with a >= 0 is 1 all along and is not stepped at all.
-        """
-        if b == 0 and db == 0 and a >= 0:
-            return repeat(1)
-        return _walk_diagonal(a, b, db)
 
     @staticmethod
     def chi(condition: bool) -> int:
@@ -94,23 +75,8 @@ class Convention:
 
 
 _binom = Convention.binom
-_diagonal = Convention.binom_diagonal
 _chi = Convention.chi
 _term = Convention.term
-
-
-def _walk_diagonal(a: int, b: int, db: int) -> Iterator[int]:
-    value = _binom(a, b)
-    while True:
-        yield value
-        if value and db:
-            value = value * (a + 1) * b // ((a - b + 1) * (a - b + 2))
-        elif value:
-            value = value * (a + 1) // (a + 1 - b)
-        a += 1
-        b += db
-        if not value:
-            value = _binom(a, b)
 
 
 def _sign(exponent: int) -> int:
@@ -259,16 +225,20 @@ def count_thm6(n: int, f: int, t: int, c: int, d: int, e: int) -> Count:
 def count_thm7(n: int, f: int, t: int) -> int:
     """Tableaux of skew shape (e+t, e)/(f, 0), any e, with n entries in total.
 
-    The k-sum's summands are the displayed terms.  From one k to the next
-    the upper index 2n+k+f-t-3 (or 2n+k-f+t-3) of every bracket binomial
-    rises by one while its lower index falls by one, and the leading
-    binomial's upper index k-1 rises by one, so each binomial is read off
-    its diagonal (Convention.binom_diagonal) rather than evaluated anew.
-    Only binomials that can change the sum are stepped: at t = f the
-    leading binomial C(k-1, -1) is zero for every k, so the k-sum is not
-    run; at t = 0 the bracket's third and fourth binomials equal its
-    first, and at t = 1 its third equals its second, so each distinct
-    binomial is stepped once and counted with its multiplicity.
+    Each summand of the k-sum is the leading binomial C(k-1, m), with
+    m = |f-t| - 1, times a bracket of binomials C(a, low - j), where
+    low = n-k-1 and a = 2n+k-f+t-3 (t < f) or 2n+k+f-t-3 (t > f).  With
+    d = a - low, a bracket binomial is b1 = C(a, low) times
+    low (low-1) ... (low-j+1) / ((d+1) ... (d+j)), so the summand is
+    h = +-C(k-1, m) C(a, low) times a ratio of small integers.  From k to
+    k + 1, a rises and low falls by one, so h steps by one exact multiply
+    and divide, h k (a+1) low / ((k-m) (d+1) (d+2)), and flips sign.
+    Every quotient is exact: each is +-C(k-1, m) times a binomial or a
+    sum of them.  h starts nonzero, as the lead C(k0-1, m) is 1 (t < f)
+    or t - f (t > f), and the k-sum ends at low = 0: every later bracket
+    binomial has a negative lower index, which the convention makes zero.
+    At t = f the lead C(k-1, -1) is zero for every k, so the k-sum is not
+    run.
 
     For 0 < t < f the expression disagrees with the exhaustive oracles
     (measured by the harness); t = 0 and t >= f agree everywhere tested.
@@ -285,41 +255,48 @@ def count_thm7(n: int, f: int, t: int) -> int:
                  - _binom(2 * n - 3, n - f - 1)
                  - _binom(2 * n - 2, n - f - t - 2)
                  + _binom(2 * n - 3, n - f - t - 1))
-        # every binomial in the k-sum has a negative lower index once k > n
-        k0 = f - t
-        top = 2 * n - 3  # 2n+k-f+t-3 at k = k0
-        steps = (range(k0, n + 1), _diagonal(k0 - 1, f - t - 1, 0),
-                 _diagonal(top, n - k0 - 1, -1),
-                 _diagonal(top, n - k0 - 2, -1))
-        # the bracket -b1 + b2 + b3 - b4 with b3 = b4 = b1 at t = 0
-        if t == 0:
-            for k, lead, b1, b2 in zip(*steps):
-                total += _sign(k - f) * lead * (b2 - b1)
+        k, m, a = f - t, f - t - 1, 2 * n - 3
+    else:
+        total = (_binom(n - 1, t - f - 1)
+                 + 2 * _binom(2 * n - 3, n + f - t - 2)
+                 - _binom(2 * n - 2, n - f - t - 2))
+        if t == f:
             return total
-        # and with b3 = b2 at t = 1
-        if t == 1:
-            for k, lead, b1, b2, b4 in zip(
-                    *steps, _diagonal(top, n - k0 - 3, -1)):
-                total += _sign(k - f + 1) * lead * (2 * b2 - b1 - b4)
-            return total
-        for k, lead, b1, b2, b3, b4 in zip(
-                *steps, _diagonal(top, n - k0 - t - 1, -1),
-                _diagonal(top, n - k0 - 2 * t - 1, -1)):
-            total += _sign(k - f + t) * lead * (-b1 + b2 + b3 - b4)
-        return total
-    total = (_binom(n - 1, t - f - 1)
-             + 2 * _binom(2 * n - 3, n + f - t - 2)
-             - _binom(2 * n - 2, n - f - t - 2))
-    if t == f:
-        # the leading binomial C(k-1, -1) is zero for every k
-        return total
-    k0 = t - f + 1
-    top = 2 * n - 2  # 2n+k+f-t-3 at k = k0
-    for k, lead, b1, b2 in zip(
-            range(k0, n + 1), _diagonal(k0 - 1, t - f - 1, 0),
-            _diagonal(top, n - k0 - 1, -1), _diagonal(top, n - k0 - 2, -1)):
-        total += _sign(k - t - f - 1) * lead * (b1 - b2)
+        k, m, a = t - f + 1, t - f - 1, 2 * n - 2
+    low = n - k - 1
+    h = _binom(k - 1, m) * _binom(a, low)
+    while low >= 0:
+        d = a - low
+        if t > f:  # b1 - b2
+            total += h * (d + 1 - low) // (d + 1)
+        elif t == 0:  # -b1 + b2 + b3 - b4 with b3 = b4 = b1 is b2 - b1
+            total -= h * (d + 1 - low) // (d + 1)
+        elif t == 1:  # and with b3 = b2 it is 2 b2 - b1 - b4
+            total += (h * (low * (2 * d + 5 - low) - (d + 1) * (d + 2))
+                      // ((d + 1) * (d + 2)))
+        else:
+            num, den = _bracket(low, d, t)
+            total += h * num // den
+        h = -h * (k * (a + 1) * low) // ((k - m) * (d + 1) * (d + 2))
+        k, a, low = k + 1, a + 1, low - 1
     return total
+
+
+def _bracket(low: int, d: int, t: int) -> tuple[int, int]:
+    """(num, den) with -b1 + b2 + b3 - b4 = b1 num / den, for t >= 2.
+
+    b2, b3 and b4 are C(a, low - j) at j = 1, t and 2t, each b1 times
+    low (low-1) ... (low-j+1) / ((d+1) ... (d+j)) with d = a - low.
+    """
+    num = den = 1
+    for j in range(1, 2 * t + 1):
+        num *= low - j + 1
+        den *= d + j
+        if j == 1:
+            num1, den1 = num, den
+        if j == t:
+            numt, dent = num, den
+    return num1 * (den // den1) + numt * (den // dent) - den - num, den
 
 
 def remark_1_10(n: int, t: int) -> int:

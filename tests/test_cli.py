@@ -139,6 +139,15 @@ def test_help_still_exits_0(capsys):
     assert "--which" in capsys.readouterr().out
 
 
+def test_verify_help_names_the_layer_caps(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "series and formulas at 12 for thm1 and thm6" in text
+    assert "any --max-n above 12 gives the same 2,900 reports as 12" in text
+
+
 def test_expected_values(capsys):
     assert run(capsys, "expected", "--n", "4", "--t", "0")[:2] == (0, "7/5\n")
     assert run(capsys, "expected", "--n", "3", "--t", "1")[:2] == (0, "2/3\n")

@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svtab import formulas
 from svtab.formulas import (
@@ -29,17 +30,6 @@ def test_binom_outside_pascal_triangle_is_zero():
     assert b(-1, 0) == 0
     assert b(-3, -3) == 0
     assert b(0, 0) == 1
-
-
-def test_binom_diagonal_equals_binom_along_the_diagonal():
-    b = Convention.binom
-    for a in range(-4, 12):
-        for start in range(-4, 14):
-            for db in (0, -1):
-                walk = Convention.binom_diagonal(a, start, db)
-                got = [next(walk) for _ in range(16)]
-                assert got == [b(a + i, start + i * db) for i in range(16)], (
-                    a, start, db)
 
 
 def test_chi():
@@ -248,45 +238,6 @@ def _thm7_term_by_term(n, f, t):
     return total
 
 
-def test_thm7_steps_only_the_binomials_that_can_change_the_sum(monkeypatch):
-    walks = []
-
-    def counting(a, b, db):
-        walks.append((a, b, db))
-        return Convention.binom_diagonal(a, b, db)
-
-    monkeypatch.setattr(formulas, "_diagonal", counting)
-    # (f, t) -> diagonals stepped: none at t = f; otherwise the leading
-    # binomial plus two bracket binomials at t = 0 and for t > f, three
-    # at t = 1 and four for 2 <= t < f
-    expected = {(1, 1): 0, (3, 3): 0, (1, 0): 3, (3, 0): 3, (1, 2): 3,
-                (2, 1): 4, (3, 1): 4, (3, 2): 5, (5, 3): 5}
-    for (f, t), calls in expected.items():
-        for n in (1, 7, 40):
-            walks.clear()
-            count_thm7(n, f, t)
-            assert len(walks) == calls, (n, f, t, walks)
-
-
-def test_binom_diagonal_does_not_walk_the_column_of_ones(monkeypatch):
-    walks = []
-    real = formulas._walk_diagonal
-
-    def counting(a, b, db):
-        walks.append((a, b, db))
-        return real(a, b, db)
-
-    monkeypatch.setattr(formulas, "_walk_diagonal", counting)
-    for a in range(12):
-        column = Convention.binom_diagonal(a, 0, 0)
-        assert [next(column) for _ in range(20)] == [1] * 20
-    assert walks == []
-    for a in (-1, -3):
-        column = Convention.binom_diagonal(a, 0, 0)
-        assert next(column) == 0
-    assert walks == [(-1, 0, 0), (-3, 0, 0)]
-
-
 def test_thm7_matches_term_by_term_reference():
     for f in range(1, 7):
         for t in range(9):
@@ -301,3 +252,30 @@ def test_thm7_matches_term_by_term_reference():
     for t in range(1, 4):
         for n in range(1, 201):
             assert remark_1_10(n, t) == count_thm7(n, t, t), (n, t)
+
+
+def test_thm7_evaluates_only_the_prefix_and_the_first_summand(monkeypatch):
+    # the displayed prefix (at most five binomials) plus C(k0-1, m) and
+    # C(a, low) that start the product; the k-sum makes no fresh comb
+    calls = []
+    real = formulas.comb
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(formulas, "comb", counting)
+    for f, t in ((1, 1), (1, 0), (3, 0), (2, 1), (3, 1), (3, 2), (5, 3),
+                 (1, 2), (2, 3)):
+        for n in (1, 7, 40, 200):
+            calls.clear()
+            count_thm7(n, f, t)
+            assert len(calls) <= 7, (n, f, t, calls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=300),
+       st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=10))
+def test_thm7_matches_term_by_term_reference_anywhere(n, f, t):
+    assert count_thm7(n, f, t) == _thm7_term_by_term(n, f, t)
