@@ -12,18 +12,21 @@ ratio of small integers, so one exact multiply and divide steps it from
 k to k + 1 (see its docstring for why every quotient is exact).  Its
 sum ends where the convention makes every later summand zero.
 
-All arithmetic is exact.  Where an evaluator's expression fails to match
-the exhaustive oracles (the verification harness measures this on desk
-scale grids), the mismatch is reported, never patched here; one expression
-(count_thm6 with t < f) can even return a non-integral rational, which is
-passed through unchanged as evidence.
+All arithmetic is exact.  A term is an int when its denominator divides
+its numerator and a Fraction only when it does not, so a sum of whole
+terms runs in int arithmetic, and every count_* evaluator returns an int
+whenever its value is whole.  Where an evaluator's expression fails to
+match the exhaustive oracles (the verification harness measures this on
+desk scale grids), the mismatch is reported, never patched here; one
+expression (count_thm6 with t < f) can even return a non-integral
+rational, which is passed through unchanged as evidence.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 Count = Union[int, Fraction]
 
@@ -43,17 +46,20 @@ class Convention:
 
     @staticmethod
     def term(num_ints: tuple[int, ...], num_facts: tuple[int, ...],
-             den_ints: tuple[int, ...], den_facts: tuple[int, ...]) -> Fraction:
+             den_ints: tuple[int, ...], den_facts: tuple[int, ...]) -> Count:
         """One product term: (prod num_ints * prod num_facts!) / (...).
 
-        The denominator-factorial test comes first; only a surviving term
-        gets its integer denominator factors checked (a zero there would
-        be a genuine singularity, which the surrounding formulas never
-        produce once the factorial test has passed).
+        The denominator-factorial test comes first and a term it kills is
+        a plain 0; only a surviving term gets its integer denominator
+        factors checked (a zero there would be a genuine singularity,
+        which the surrounding formulas never produce once the factorial
+        test has passed).  The value is the exact int quotient when the
+        denominator divides the numerator and a Fraction otherwise, so
+        sums of terms stay in int arithmetic until a term is not whole.
         """
         for m in den_facts:
             if m < 0:
-                return Fraction(0)
+                return 0
         numerator = 1
         for k in num_ints:
             numerator *= k
@@ -71,7 +77,8 @@ class Convention:
             denominator *= k
         for m in den_facts:
             denominator *= factorial(m)
-        return Fraction(numerator, denominator)
+        quotient, rest = divmod(numerator, denominator)
+        return Fraction(numerator, denominator) if rest else quotient
 
 
 _binom = Convention.binom
@@ -83,7 +90,7 @@ def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def _as_count(value: Fraction) -> Count:
+def _as_count(value: Count) -> Count:
     if value.denominator == 1:
         return int(value)
     return value
@@ -101,7 +108,7 @@ def count_thm1(n: int, t: int, c: int, d: int, e: int) -> Count:
     if c + d + 2 * e + t != n:
         raise ValueError(
             f"parameter sum c+d+2e+t = {c + d + 2 * e + t} must equal n = {n}")
-    total = Fraction(_chi(e == 0) * _binom(n - 1, t - 1))
+    total = _chi(e == 0) * _binom(n - 1, t - 1)
     total += _term((), (n - 1,), (d + e,), (c, d, e - 1, e + t - 1))
     for b in range(n - c - e + 1, n - e + 2):
         total -= _sign(n - b - c - e - 1) * _term(
@@ -115,7 +122,7 @@ def count_cor2(n: int, t: int, e: int) -> Count:
         raise ValueError("n must be a positive integer")
     if t < 0 or e < 0:
         raise ValueError("t and e must be nonnegative")
-    total = Fraction(_chi(e == 0) * _binom(n - 1, t - 1))
+    total = _chi(e == 0) * _binom(n - 1, t - 1)
     for d in range(0, n - 2 * e - t + 1):
         base = _term((), (n - 1,), (),
                      (n - d - 2 * e - t, d, e - 1, e + t - 1))
@@ -200,7 +207,7 @@ def count_thm6(n: int, f: int, t: int, c: int, d: int, e: int) -> Count:
         raise ValueError(
             f"parameter sum c+d+2e-f+t = {c + d + 2 * e - f + t} "
             f"must equal n = {n}")
-    total = Fraction(0)
+    total = 0
     if t < f:
         total += _chi(t == 0 and e == f) * _binom(n - 1, f - 1)
         total -= _term((c + e - f + t,), (n - 1,),
@@ -265,6 +272,7 @@ def count_thm7(n: int, f: int, t: int) -> int:
         k, m, a = t - f + 1, t - f - 1, 2 * n - 2
     low = n - k - 1
     h = _binom(k - 1, m) * _binom(a, low)
+    brackets = _brackets(low, a - low, t) if 1 < t < f else None
     while low >= 0:
         d = a - low
         if t > f:  # b1 - b2
@@ -275,28 +283,43 @@ def count_thm7(n: int, f: int, t: int) -> int:
             total += (h * (low * (2 * d + 5 - low) - (d + 1) * (d + 2))
                       // ((d + 1) * (d + 2)))
         else:
-            num, den = _bracket(low, d, t)
+            num, den = next(brackets)
             total += h * num // den
         h = -h * (k * (a + 1) * low) // ((k - m) * (d + 1) * (d + 2))
         k, a, low = k + 1, a + 1, low - 1
     return total
 
 
-def _bracket(low: int, d: int, t: int) -> tuple[int, int]:
+def _brackets(low: int, d: int, t: int) -> Iterator[tuple[int, int]]:
     """(num, den) with -b1 + b2 + b3 - b4 = b1 num / den, for t >= 2.
 
-    b2, b3 and b4 are C(a, low - j) at j = 1, t and 2t, each b1 times
-    low (low-1) ... (low-j+1) / ((d+1) ... (d+j)) with d = a - low.
+    b2, b3 and b4 are C(a, low - j) at j = 1, t and 2t, each b1 times the
+    ratio low (low-1) ... (low-j+1) / ((d+1) ... (d+j)) with d = a - low.
+    One pair is yielded per k, from the given low down to 0.  The ratios
+    are formed once and then stepped as h is: from k to k + 1, low falls
+    by one and d rises by two, so a numerator gains (low-j) / low and a
+    denominator (d+j+1) (d+j+2) / ((d+1) (d+2)), both exact quotients.
     """
-    num = den = 1
-    for j in range(1, 2 * t + 1):
-        num *= low - j + 1
-        den *= d + j
-        if j == 1:
-            num1, den1 = num, den
-        if j == t:
-            numt, dent = num, den
-    return num1 * (den // den1) + numt * (den // dent) - den - num, den
+    numt = dent = 1
+    for j in range(t):
+        numt *= low - j
+        dent *= d + 1 + j
+    num2t, den2t = numt, dent
+    for j in range(t, 2 * t):
+        num2t *= low - j
+        den2t *= d + 1 + j
+    while True:
+        # the j = 1 ratio is low / (d + 1) itself
+        yield (low * (den2t // (d + 1)) + numt * (den2t // dent)
+               - den2t - num2t), den2t
+        if not low:
+            return
+        base = (d + 1) * (d + 2)
+        numt = numt * (low - t) // low
+        dent = dent * ((d + t + 1) * (d + t + 2)) // base
+        num2t = num2t * (low - 2 * t) // low
+        den2t = den2t * ((d + 2 * t + 1) * (d + 2 * t + 2)) // base
+        low, d = low - 1, d + 2
 
 
 def remark_1_10(n: int, t: int) -> int:

@@ -23,6 +23,10 @@ from enum import Enum
 from typing import Iterator
 
 
+# fills a frozen record's fields, as the generated __init__ would
+_setattr = object.__setattr__
+
+
 class Step(Enum):
     UP = "U"
     DOWN = "D"
@@ -30,16 +34,19 @@ class Step(Enum):
     HOR_DENIM = "d"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ColouredPath:
     start_height: int
     steps: tuple[Step, ...]
 
-    def __post_init__(self):
-        if not isinstance(self.start_height, int) or self.start_height < 0:
+    def __init__(self, start_height: int, steps) -> None:
+        # written out rather than generated with a __post_init__, so a
+        # path costs one check and two stores
+        if not isinstance(start_height, int) or start_height < 0:
             raise ValueError(
-                f"start_height must be a nonnegative integer, got {self.start_height!r}")
-        object.__setattr__(self, "steps", tuple(self.steps))
+                f"start_height must be a nonnegative integer, got {start_height!r}")
+        _setattr(self, "start_height", start_height)
+        _setattr(self, "steps", tuple(steps))
 
     @property
     def end_height(self) -> int:
@@ -91,7 +98,7 @@ def is_admissible(path: ColouredPath) -> bool:
     return True
 
 
-_WEIGHT_STEPS = (Step.HOR_UMBER, Step.HOR_DENIM, Step.DOWN)
+_UMBER, _DENIM, _DOWN = Step.HOR_UMBER, Step.HOR_DENIM, Step.DOWN
 
 
 def weight(path: ColouredPath) -> tuple[int, int, int]:
@@ -99,7 +106,12 @@ def weight(path: ColouredPath) -> tuple[int, int, int]:
 
     Defined for any path, admissible or not.
     """
-    return tuple(map(path.steps.count, _WEIGHT_STEPS))
+    steps = path.steps
+    return steps.count(_UMBER), steps.count(_DENIM), steps.count(_DOWN)
+
+
+def _word_weight(steps: tuple[Step, ...]) -> tuple[int, int, int]:
+    return steps.count(_UMBER), steps.count(_DENIM), steps.count(_DOWN)
 
 
 def enumerate_paths(n: int, f: int, t: int) -> Iterator[ColouredPath]:
@@ -114,27 +126,34 @@ def enumerate_paths(n: int, f: int, t: int) -> Iterator[ColouredPath]:
     if f < 0 or t < 0:
         raise ValueError("heights must be nonnegative")
     if n == 0:
-        found = [ColouredPath(f, ())] if f == t else []
-    else:
-        found = _walk([], n, f, t, _STEPS, f, False, False)
-    yield from found
+        if f == t:
+            yield ColouredPath(f, ())
+        return
+    for word in _walk(n, f, t, _STEPS, False, False):
+        yield ColouredPath(f, word)
 
 
-def _walk(prefix: list[Step], n: int, f: int, t: int, table: dict, h: int,
-          seen_up: bool, seen_down: bool) -> Iterator[ColouredPath]:
-    # Extend prefix (at height h) by the moves of table in every way that
-    # can still end at height t.  A module-level function, so no closure
-    # refers to itself and a call leaves no garbage cycle.
-    left = n - len(prefix) - 1
-    for s, rise, up, down in table[h > 0, seen_up, seen_down]:
-        if abs(h + rise - t) > left:
-            continue
+def _walk(n: int, h: int, t: int, table: dict, seen_up: bool,
+          seen_down: bool) -> Iterator[tuple[Step, ...]]:
+    # Every step word of length n >= 1 over the moves of table that starts
+    # at height h with the given colour gates and can end at height t, in
+    # table order.  One explicit stack of (prefix, height, gates): the
+    # children of a node are pushed in reverse so that they pop in table
+    # order, and a node one step short of n yields its leaves at once.
+    stack = [((), h, seen_up, seen_down)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        prefix, h, seen_up, seen_down = pop()
+        moves = table[h > 0, seen_up, seen_down]
+        left = n - len(prefix) - 1
         if left:
-            prefix.append(s)
-            yield from _walk(prefix, n, f, t, table, h + rise, up, down)
-            prefix.pop()
+            for s, rise, up, down in reversed(moves):
+                if abs(h + rise - t) <= left:
+                    push(((*prefix, s), h + rise, up, down))
         else:
-            yield ColouredPath(f, (*prefix, s))
+            for s, rise, _, _ in moves:
+                if h + rise == t:
+                    yield (*prefix, s)
 
 
 def count_paths(n: int, f: int, t: int) -> int:
@@ -143,10 +162,7 @@ def count_paths(n: int, f: int, t: int) -> int:
 
 def weight_counts(n: int, f: int, t: int) -> Counter:
     """Counter mapping (c, d, e) to the number of admissible paths."""
-    out: Counter = Counter()
-    for p in enumerate_paths(n, f, t):
-        out[weight(p)] += 1
-    return out
+    return Counter(map(weight, enumerate_paths(n, f, t)))
 
 
 def encode_path(path: ColouredPath) -> str:
@@ -175,7 +191,7 @@ def _closed_walk_weights(n: int, table: dict) -> Counter:
     # colour rule applies.  The empty walk counts once.
     if n == 0:
         return Counter({(0, 0, 0): 1})
-    return Counter(map(weight, _walk([], n, 0, 0, table, 0, True, True)))
+    return Counter(map(_word_weight, _walk(n, 0, 0, table, True, True)))
 
 
 def unconstrained_weight_counts(n: int) -> Counter:

@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
+# fills a frozen record's fields, as the generated __init__ would
+_setattr = object.__setattr__
+
 
 @dataclass(frozen=True)
 class TwoRowShape:
@@ -62,7 +65,7 @@ def cells(shape: TwoRowShape) -> list[tuple[int, int]]:
     return row1 + row2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SetValuedTableau:
     """A filling of a TwoRowShape with disjoint nonempty sets covering {1..n}.
 
@@ -74,11 +77,14 @@ class SetValuedTableau:
     content: tuple[frozenset[int], ...]
     n: int
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "content",
-                           tuple(map(frozenset, self.content)))
+    def __init__(self, shape: TwoRowShape, content, n: int) -> None:
+        # written out rather than generated with a __post_init__, so a
+        # tableau costs one check and three stores
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        _setattr(self, "shape", shape)
+        _setattr(self, "content", tuple(map(frozenset, content)))
+        _setattr(self, "n", n)
 
     def row_entry_counts(self) -> tuple[int, int]:
         r1 = sum(len(s) for s in self.content[:self.shape.row1_cells])
@@ -166,48 +172,62 @@ def enumerate_tableaux(shape: TwoRowShape,
     for i, j in _cover_pairs(shape):
         preds[j].append(i)
         succs[i].append(j)
-    yield from _place(1, n, shape, preds, succs, [[] for _ in range(k)],
-                      [0] * k, [len(p) for p in preds], k)
-
-
-def _place(entry: int, n: int, shape: TwoRowShape,
-           preds: list[list[int]], succs: list[list[int]],
-           contents: list[list[int]], blocked: list[int], missing: list[int],
-           empty: int) -> Iterator[SetValuedTableau]:
-    # Place entry..n into the partial filling contents, one list per cell,
-    # undoing each placement after its subtree.  blocked[i] counts the
-    # opened successors of cell i, missing[j] the unopened predecessors of
-    # cell j and empty the unopened cells.  A module-level function, so
-    # no closure refers to itself and a call leaves no garbage cycle.
-    remaining = n - entry + 1
-    for cell in range(len(contents)):
-        # a cell stops accepting entries once any later cell has opened
-        if blocked[cell]:
-            continue
-        opening = not contents[cell]
-        if opening and missing[cell]:
-            continue
-        empty_after = empty - opening
-        if remaining - 1 < empty_after:
-            continue
-        contents[cell].append(entry)
-        if opening:
-            for p in preds[cell]:
-                blocked[p] += 1
-            for s in succs[cell]:
-                missing[s] -= 1
-        if entry == n:
-            if empty_after == 0:
+    # The partial filling, one list per cell.  blocked[i] counts the
+    # opened successors of cell i, missing[j] the unopened predecessors
+    # of cell j and empty the unopened cells.  Entry `entry` goes into
+    # the first cell at or after the cursor `cell` that can take it;
+    # placed[e] is the cell that holds entry e < entry.
+    contents: list[list[int]] = [[] for _ in range(k)]
+    blocked = [0] * k
+    missing = [len(p) for p in preds]
+    empty = k
+    placed = [0] * n
+    entry, cell = 1, 0
+    while True:
+        # a cell stops accepting entries once any later cell has opened,
+        # and the entries left must still fill every empty cell
+        room = n - entry
+        while cell < k:
+            if not blocked[cell]:
+                if contents[cell]:
+                    if room >= empty:
+                        break
+                elif not missing[cell] and room >= empty - 1:
+                    break
+            cell += 1
+        if cell < k:
+            if entry == n:
+                # the last entry closes a tableau; nothing below it reads
+                # the bookkeeping, so only the cell list is touched
+                contents[cell].append(entry)
                 yield SetValuedTableau(shape, contents, n)
-        else:
-            yield from _place(entry + 1, n, shape, preds, succs, contents,
-                              blocked, missing, empty_after)
-        if opening:
+                contents[cell].pop()
+                cell += 1
+                continue
+            if not contents[cell]:
+                for p in preds[cell]:
+                    blocked[p] += 1
+                for s in succs[cell]:
+                    missing[s] -= 1
+                empty -= 1
+            contents[cell].append(entry)
+            placed[entry] = cell
+            entry, cell = entry + 1, 0
+            continue
+        # every cell tried: undo the previous entry's placement and move
+        # its cursor on
+        entry -= 1
+        if not entry:
+            return
+        cell = placed[entry]
+        contents[cell].pop()
+        if not contents[cell]:
             for p in preds[cell]:
                 blocked[p] -= 1
             for s in succs[cell]:
                 missing[s] += 1
-        contents[cell].pop()
+            empty += 1
+        cell += 1
 
 
 def count_tableaux(shape: TwoRowShape, n: int) -> int:

@@ -46,6 +46,24 @@ def test_term_denominator_factorial_kills_first():
     assert t((2,), (3,), (4,), (1,)) == Fraction(2 * 6, 4)
 
 
+def test_term_is_an_int_when_exact_and_a_fraction_otherwise():
+    t = Convention.term
+    whole = t((2,), (3,), (4,), (1,))
+    assert type(whole) is int and whole == 3
+    part = t((1,), (3,), (4,), ())
+    assert type(part) is Fraction and part == Fraction(3, 2)
+    negative = t((-3,), (), (2,), ())
+    assert type(negative) is Fraction and negative == Fraction(-3, 2)
+    dead = t((3,), (5,), (2,), (-1,))
+    assert type(dead) is int and dead == 0
+    # an inexact term keeps a sum of terms exact: the t < f refined
+    # expression still leaves the integers where it drifts
+    drift = count_thm6(7, 2, 1, 2, 0, 3)
+    assert type(drift) is Fraction and drift == Fraction(263, 3)
+    assert type(count_thm6(7, 1, 2, 2, 0, 2)) is int
+    assert type(count_thm1(7, 1, 2, 0, 2)) is int
+
+
 def test_term_negative_numerator_factorial_raises():
     with pytest.raises(ArithmeticError):
         Convention.term((), (-1,), (), (0,))

@@ -1,5 +1,6 @@
 """Tests for the coloured-path oracle."""
 
+import dataclasses
 from collections import Counter
 from itertools import product
 
@@ -104,6 +105,45 @@ def test_enumeration_equals_filtered_step_words():
                 ref = [p for p in (ColouredPath(f, w) for w in words)
                        if is_admissible(p) and p.end_height == t]
                 assert list(enumerate_paths(n, f, t)) == ref, (n, f, t)
+
+
+def test_path_record_contract():
+    # a list of steps is frozen to a tuple, and the record compares,
+    # hashes and prints as the normalised dataclass
+    p = ColouredPath(1, [Step.UP, Step.HOR_DENIM])
+    q = ColouredPath(start_height=1, steps=(Step.UP, Step.HOR_DENIM))
+    assert type(p.steps) is tuple
+    assert p == q and hash(p) == hash(q)
+    assert p != ColouredPath(2, p.steps)
+    assert repr(p) == ("ColouredPath(start_height=1, steps=(<Step.UP: 'U'>, "
+                       "<Step.HOR_DENIM: 'd'>))")
+    assert dataclasses.replace(p, start_height=2) == ColouredPath(2, p.steps)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.steps = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.start_height = 0
+    for bad in (-1, 1.0, "1"):
+        with pytest.raises(ValueError) as err:
+            ColouredPath(bad, ())
+        assert str(err.value) == \
+            f"start_height must be a nonnegative integer, got {bad!r}"
+
+
+def test_enumeration_order_at_larger_n():
+    # The filter reference above stops at n = 6.  At n = 7 and 8 the
+    # stream must still be strictly increasing in tag order D < U < d < u
+    # (the ASCII order of the tags), hold only admissible paths of the
+    # frame, and have as many paths as its weight map counts.
+    for n in (7, 8):
+        for f in range(4):
+            for t in range(4):
+                words = []
+                for p in enumerate_paths(n, f, t):
+                    assert is_admissible(p) and p.end_height == t
+                    assert p.start_height == f and len(p) == n
+                    words.append("".join(s.value for s in p.steps))
+                assert all(a < b for a, b in zip(words, words[1:])), (n, f, t)
+                assert len(words) == sum(weight_counts(n, f, t).values())
 
 
 def test_encode_decode_round_trip():

@@ -1,5 +1,6 @@
 """Tests for the tableau oracle: shapes, validity, enumeration."""
 
+import dataclasses
 import gc
 from collections import Counter
 from itertools import product
@@ -165,6 +166,53 @@ def test_enumeration_equals_filtered_assignments():
                     if is_valid_quantified(tab):
                         ref.append(tab)
             assert list(enumerate_tableaux(shape, n)) == ref, (shape, n)
+
+
+def test_tableau_record_contract():
+    # lists of entries are frozen to frozensets, and the record compares,
+    # hashes and prints as the normalised dataclass
+    shape = TwoRowShape(1, 1)
+    tab = SetValuedTableau(shape, [[1], [3, 4], [2]], 4)
+    same = SetValuedTableau(shape=shape, n=4, content=(
+        frozenset({1}), frozenset({3, 4}), frozenset({2})))
+    assert type(tab.content) is tuple
+    assert all(type(cell) is frozenset for cell in tab.content)
+    assert tab == same and hash(tab) == hash(same)
+    assert tab != SetValuedTableau(shape, [[1], [3], [2, 4]], 4)
+    assert repr(tab) == (
+        "SetValuedTableau(shape=TwoRowShape(e=1, t=1, f=0), content="
+        "(frozenset({1}), frozenset({3, 4}), frozenset({2})), n=4)")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tab.n = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tab.content = ()
+    for bad in (0, -3, 2.0):
+        with pytest.raises(ValueError) as err:
+            SetValuedTableau(shape, [[1], [2]], bad)
+        assert str(err.value) == f"n must be a positive integer, got {bad!r}"
+
+
+def test_enumeration_order_at_larger_n():
+    # The filter reference above stops at n = 6.  At n = 7 and 8 each
+    # shape's stream must still be strictly increasing by the
+    # cell-assignment vector, and the shapes of a frame must hold as many
+    # tableaux as its weight map counts.
+    for n in (7, 8):
+        for f in range(4):
+            for t in range(4):
+                total = 0
+                for shape in shape_range(n, f, t):
+                    vectors = []
+                    for tab in enumerate_tableaux(shape, n):
+                        vector = [0] * n
+                        for cell, entries in enumerate(tab.content):
+                            for entry in entries:
+                                vector[entry - 1] = cell
+                        vectors.append(vector)
+                    assert all(a < b for a, b in zip(vectors, vectors[1:])), \
+                        (n, shape)
+                    total += len(vectors)
+                assert total == sum(tableau_weight_counts(n, f, t).values())
 
 
 def test_shape_range_counts_and_row_split():
