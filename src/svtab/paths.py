@@ -12,7 +12,10 @@ c + d + 2e - f + t = n for a path from height f to height t.
 
 One search over one step table yields the admissible paths and, started
 with both colour gates open, the closed walks; weights are read off the
-finished paths.
+finished paths.  The search walks each word's prefix on a stack and
+finishes it from a cached table of the last few steps, keyed by the
+state the prefix ends in and the target height (a completion table in
+the sense of Nijenhuis and Wilf, Combinatorial Algorithms, 1978).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator
 
 
@@ -79,8 +83,9 @@ def _step_table(umber_on_axis: bool) -> dict:
 
 # admissible paths: no umber on the axis
 _STEPS = _step_table(umber_on_axis=False)
-# closed walks with umber allowed on the axis (colour gates left open)
-_FREE_STEPS = _step_table(umber_on_axis=True)
+# the step tables by umber_on_axis; the closed walks that allow umber on
+# the axis read the second with both colour gates open
+_TABLES = (_STEPS, _step_table(umber_on_axis=True))
 
 
 def is_admissible(path: ColouredPath) -> bool:
@@ -114,6 +119,11 @@ def _word_weight(steps: tuple[Step, ...]) -> tuple[int, int, int]:
     return steps.count(_UMBER), steps.count(_DENIM), steps.count(_DOWN)
 
 
+def _check_length(n) -> None:
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+
+
 def enumerate_paths(n: int, f: int, t: int) -> Iterator[ColouredPath]:
     """All admissible length-n paths from height f to height t.
 
@@ -121,39 +131,60 @@ def enumerate_paths(n: int, f: int, t: int) -> Iterator[ColouredPath]:
     prefixes that already violate a constraint or cannot reach t.  Output
     order is lexicographic on the step tags (D < U < d < u).
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n!r}")
+    _check_length(n)
     if f < 0 or t < 0:
         raise ValueError("heights must be nonnegative")
-    if n == 0:
-        if f == t:
-            yield ColouredPath(f, ())
-        return
-    for word in _walk(n, f, t, _STEPS, False, False):
+    for word in _walk(n, f, t, False, False, False):
         yield ColouredPath(f, word)
 
 
-def _walk(n: int, h: int, t: int, table: dict, seen_up: bool,
+# The last min(n, _TAIL) steps of every word come from the cached tail
+# table.  A table key holds a height within _TAIL of its target, so the
+# table does not grow with n or the start height.
+_TAIL = 4
+
+
+@lru_cache(maxsize=None)
+def _tails(umber_on_axis: bool, h: int, seen_up: bool, seen_down: bool,
+           r: int, t: int) -> tuple[tuple[Step, ...], ...]:
+    # Every step word of length r that starts at height h with the given
+    # colour gates and ends at height t, in table order.  A word's tail
+    # depends on nothing else, so each state is searched once.
+    if not r:
+        return ((),) if h == t else ()
+    words = []
+    for s, rise, up, down in _TABLES[umber_on_axis][h > 0, seen_up, seen_down]:
+        if abs(h + rise - t) < r:
+            words += [(s, *w) for w in _tails(umber_on_axis, h + rise, up,
+                                              down, r - 1, t)]
+    return tuple(words)
+
+
+def _walk(n: int, h: int, t: int, umber_on_axis: bool, seen_up: bool,
           seen_down: bool) -> Iterator[tuple[Step, ...]]:
-    # Every step word of length n >= 1 over the moves of table that starts
-    # at height h with the given colour gates and can end at height t, in
-    # table order.  One explicit stack of (prefix, height, gates): the
+    # Every step word of length n that starts at height h with the given
+    # colour gates and ends at height t, in table order.  One explicit
+    # stack of (prefix, height, gates) searches the first n - r steps: the
     # children of a node are pushed in reverse so that they pop in table
-    # order, and a node one step short of n yields its leaves at once.
+    # order, and a node at depth n - r yields its prefix followed by each
+    # of its cached tails, r = min(n, _TAIL).  No word closes a gap wider
+    # than its length, so such a frame asks the table for nothing.
+    if abs(h - t) > n:
+        return
+    table = _TABLES[umber_on_axis]
+    r = min(n, _TAIL)
     stack = [((), h, seen_up, seen_down)]
     pop, push = stack.pop, stack.append
     while stack:
         prefix, h, seen_up, seen_down = pop()
-        moves = table[h > 0, seen_up, seen_down]
-        left = n - len(prefix) - 1
-        if left:
-            for s, rise, up, down in reversed(moves):
-                if abs(h + rise - t) <= left:
-                    push(((*prefix, s), h + rise, up, down))
+        left = n - len(prefix)
+        if left == r:
+            for tail in _tails(umber_on_axis, h, seen_up, seen_down, r, t):
+                yield prefix + tail
         else:
-            for s, rise, _, _ in moves:
-                if h + rise == t:
-                    yield (*prefix, s)
+            for s, rise, up, down in reversed(table[h > 0, seen_up, seen_down]):
+                if abs(h + rise - t) < left:
+                    push(((*prefix, s), h + rise, up, down))
 
 
 def count_paths(n: int, f: int, t: int) -> int:
@@ -185,13 +216,12 @@ def decode_path(text: str) -> ColouredPath:
     return ColouredPath(start, steps)
 
 
-def _closed_walk_weights(n: int, table: dict) -> Counter:
+def _closed_walk_weights(n: int, umber_on_axis: bool) -> Counter:
     # All walks of length n from height 0 back to 0 under the height rules
-    # of table: the search starts with both colour gates open, so no
-    # colour rule applies.  The empty walk counts once.
-    if n == 0:
-        return Counter({(0, 0, 0): 1})
-    return Counter(map(_word_weight, _walk(n, 0, 0, table, True, True)))
+    # of one step table: the search starts with both colour gates open, so
+    # no colour rule applies.  The empty walk counts once.
+    _check_length(n)
+    return Counter(map(_word_weight, _walk(n, 0, 0, umber_on_axis, True, True)))
 
 
 def unconstrained_weight_counts(n: int) -> Counter:
@@ -200,9 +230,9 @@ def unconstrained_weight_counts(n: int) -> Counter:
     Independent oracle for the series solution of the height-0 weight
     generating function.
     """
-    return _closed_walk_weights(n, _FREE_STEPS)
+    return _closed_walk_weights(n, True)
 
 
 def no_axis_umber_weight_counts(n: int) -> Counter:
     """Same, but umber horizontals are banned at height 0."""
-    return _closed_walk_weights(n, _STEPS)
+    return _closed_walk_weights(n, False)

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svtab import paths
 from svtab.paths import (
     ColouredPath,
     Step,
@@ -218,3 +219,70 @@ def test_closed_walks_equal_filtered_step_words():
             _closed_word_weights(n, umber_on_axis=True), n
         assert no_axis_umber_weight_counts(n) == \
             _closed_word_weights(n, umber_on_axis=False), n
+
+
+@pytest.mark.parametrize("count", [
+    lambda n: list(enumerate_paths(n, 0, 0)),
+    lambda n: count_paths(n, 0, 0),
+    lambda n: weight_counts(n, 0, 0),
+    unconstrained_weight_counts,
+    no_axis_umber_weight_counts,
+], ids=["enumerate_paths", "count_paths", "weight_counts",
+        "unconstrained_weight_counts", "no_axis_umber_weight_counts"])
+@pytest.mark.parametrize("bad", [2.5, 2.0, -1, "2"])
+def test_path_oracles_reject_a_bad_length(count, bad):
+    with pytest.raises(ValueError) as err:
+        count(bad)
+    assert str(err.value) == f"n must be a nonnegative integer, got {bad!r}"
+    assert count(0)  # the empty path or walk
+
+
+@pytest.fixture
+def fresh_tails():
+    tails = paths._tails
+    tails.cache_clear()
+    yield tails
+    tails.cache_clear()
+
+
+def test_output_does_not_depend_on_the_tail_length(monkeypatch, fresh_tails):
+    # The last _TAIL steps of every word come from the cached table and the
+    # rest from the stack search; where the cut falls must not show in the
+    # stream, its order or the closed-walk weights, so n = 7..9 (past the
+    # filter reference above) is pinned for every cut from 1 to 6.
+    frames = [(n, f, t) for n in range(10) for f in range(4) for t in range(4)]
+
+    def run():
+        # the start height is the frame's, so the step words are the stream
+        return ([[p.steps for p in enumerate_paths(*frame)]
+                 for frame in frames],
+                [(unconstrained_weight_counts(n),
+                  no_axis_umber_weight_counts(n)) for n in range(9)])
+
+    expect = run()
+    for tail in range(1, 7):
+        monkeypatch.setattr(paths, "_TAIL", tail)
+        fresh_tails.cache_clear()
+        assert run() == expect, tail
+
+
+def test_tail_table_is_bounded(monkeypatch, fresh_tails):
+    # A table key holds a height within r of its target, so walking the
+    # grid once fills the table for every larger n on the same targets.
+    keys = set()
+
+    def recorded(*key):
+        keys.add(key)
+        return fresh_tails(*key)
+
+    monkeypatch.setattr(paths, "_tails", recorded)
+    for n in range(10):
+        for f in range(4):
+            for t in range(4):
+                for _ in enumerate_paths(n, f, t):
+                    pass
+    size = len(keys)
+    for frame in ((12, 3, 1), (12, 0, 2)):
+        assert count_paths(*frame) > 0
+    assert fresh_tails.cache_info().currsize == len(keys) == size
+    assert all(abs(h - t) <= r for _, h, _, _, r, t in keys)
