@@ -31,11 +31,10 @@ number of down-steps among all paths counted by gf_straight.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional
 
-from svtab.series import (ALPHA, ONE, X, Y, ZERO, MultiPoly, ZSeries,
-                          substitution_cache, zm_power)
+from svtab.series import ALPHA, ONE, X, Y, ZERO, MultiPoly, ZSeries, zm_power
 
 
 class Table(dict):
@@ -192,8 +191,11 @@ def _quotient(num: ZSeries, den: ZSeries) -> ZSeries:
 # for 36 requests over 3 distinct keys), while an order-24 symbolic set
 # holds about 2.8 MB once its tables serve the straight frames t <= 3 and
 # the skew frames (1, 3), (2, 0) and (3, 1) (tracemalloc's traced total
-# after those builds, less the total once this cache is cleared).
-@substitution_cache(maxsize=1)
+# after those builds, less the total once this cache is cleared).  The
+# key is the argument list as spelled, so series_blocks(6) and
+# series_blocks(6, None, None, None) are two entries; _blocks always
+# passes all four arguments positionally.
+@lru_cache(maxsize=1)
 def series_blocks(order: int, x_val: Optional[int] = None,
                   y_val: Optional[int] = None,
                   alpha_val: Optional[int] = None) -> SeriesBlocks:

@@ -31,6 +31,11 @@ from typing import Iterator
 _setattr = object.__setattr__
 
 
+def _check_count(name: str, value) -> None:
+    if not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 class Step(Enum):
     UP = "U"
     DOWN = "D"
@@ -46,9 +51,7 @@ class ColouredPath:
     def __init__(self, start_height: int, steps) -> None:
         # written out rather than generated with a __post_init__, so a
         # path costs one check and two stores
-        if not isinstance(start_height, int) or start_height < 0:
-            raise ValueError(
-                f"start_height must be a nonnegative integer, got {start_height!r}")
+        _check_count("start_height", start_height)
         _setattr(self, "start_height", start_height)
         _setattr(self, "steps", tuple(steps))
 
@@ -106,22 +109,16 @@ def is_admissible(path: ColouredPath) -> bool:
 _UMBER, _DENIM, _DOWN = Step.HOR_UMBER, Step.HOR_DENIM, Step.DOWN
 
 
+def _word_weight(steps: tuple[Step, ...]) -> tuple[int, int, int]:
+    return steps.count(_UMBER), steps.count(_DENIM), steps.count(_DOWN)
+
+
 def weight(path: ColouredPath) -> tuple[int, int, int]:
     """(c, d, e) = counts of umber, denim and down steps.
 
     Defined for any path, admissible or not.
     """
-    steps = path.steps
-    return steps.count(_UMBER), steps.count(_DENIM), steps.count(_DOWN)
-
-
-def _word_weight(steps: tuple[Step, ...]) -> tuple[int, int, int]:
-    return steps.count(_UMBER), steps.count(_DENIM), steps.count(_DOWN)
-
-
-def _check_length(n) -> None:
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    return _word_weight(path.steps)
 
 
 def enumerate_paths(n: int, f: int, t: int) -> Iterator[ColouredPath]:
@@ -131,9 +128,8 @@ def enumerate_paths(n: int, f: int, t: int) -> Iterator[ColouredPath]:
     prefixes that already violate a constraint or cannot reach t.  Output
     order is lexicographic on the step tags (D < U < d < u).
     """
-    _check_length(n)
-    if f < 0 or t < 0:
-        raise ValueError("heights must be nonnegative")
+    for name, value in (("n", n), ("f", f), ("t", t)):
+        _check_count(name, value)
     for word in _walk(n, f, t, False, False, False):
         yield ColouredPath(f, word)
 
@@ -220,7 +216,7 @@ def _closed_walk_weights(n: int, umber_on_axis: bool) -> Counter:
     # All walks of length n from height 0 back to 0 under the height rules
     # of one step table: the search starts with both colour gates open, so
     # no colour rule applies.  The empty walk counts once.
-    _check_length(n)
+    _check_count("n", n)
     return Counter(map(_word_weight, _walk(n, 0, 0, umber_on_axis, True, True)))
 
 

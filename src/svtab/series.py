@@ -28,7 +28,7 @@ that closed form against M's functional equation with series products.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce, wraps
+from functools import lru_cache, reduce
 from itertools import accumulate
 from math import comb
 from operator import mul, or_
@@ -79,7 +79,7 @@ class MultiPoly:
     and maps to a nonzero integer coefficient.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Optional[dict[tuple[int, int, int], int]] = None):
         clean = {}
@@ -89,7 +89,6 @@ class MultiPoly:
                 if coeff:
                     clean[key] = coeff
         self._terms = clean
-        self._hash = None
 
     @staticmethod
     def zero() -> "MultiPoly":
@@ -136,9 +135,7 @@ class MultiPoly:
         return self._terms == other._terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "MultiPoly":
         return _wrap({e: -k for e, k in self._terms.items()})
@@ -288,7 +285,6 @@ def _wrap(terms: dict[int, int]) -> MultiPoly:
         terms = {e: k for e, k in terms.items() if k}
     poly = object.__new__(MultiPoly)
     poly._terms = terms
-    poly._hash = None
     return poly
 
 
@@ -474,28 +470,6 @@ class ZSeries:
         return f"ZSeries(order={self.order})"
 
 
-def substitution_cache(maxsize: int):
-    """lru_cache for f(order, x_val=None, y_val=None, alpha_val=None).
-
-    A plain lru_cache keys f(12) and f(12, None, None, None) apart and
-    builds the same value twice; this one passes every call on with all
-    four arguments positional, so each (order, substitution) has exactly
-    one entry.  cache_info and cache_clear are the lru_cache's.
-    """
-    def decorate(build):
-        cached = lru_cache(maxsize=maxsize)(build)
-
-        @wraps(build)
-        def lookup(order: int, x_val: Optional[int] = None,
-                   y_val: Optional[int] = None,
-                   alpha_val: Optional[int] = None):
-            return cached(order, x_val, y_val, alpha_val)
-        lookup.cache_info = cached.cache_info
-        lookup.cache_clear = cached.cache_clear
-        return lookup
-    return decorate
-
-
 def zm_power(k: int, order: int, x_val: Optional[int] = None,
              y_val: Optional[int] = None,
              alpha_val: Optional[int] = None) -> ZSeries:
@@ -543,7 +517,7 @@ def zm_power(k: int, order: int, x_val: Optional[int] = None,
     return ZSeries(order, coeffs)
 
 
-@substitution_cache(maxsize=128)
+@lru_cache(maxsize=128)
 def solve_M(order: int, x_val: Optional[int] = None, y_val: Optional[int] = None,
             alpha_val: Optional[int] = None) -> ZSeries:
     """M with M = 1 + (x+y) z M + alpha z^2 M^2, truncated at z^order.

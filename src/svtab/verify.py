@@ -24,7 +24,6 @@ side.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,11 +54,7 @@ Value = Union[int, Fraction, str, None]
 
 @dataclass
 class CheckReport:
-    """One comparison: a parameter tuple and the values each layer produced.
-
-    ``timing`` is wall-clock seconds and is deliberately absent from the
-    JSON form so that reports are byte-identical across runs.
-    """
+    """One comparison: a parameter tuple and the values each layer produced."""
 
     check: str
     params: dict
@@ -68,7 +63,6 @@ class CheckReport:
     series: Value = None
     formula: Value = None
     status: str = AGREE
-    timing: float = 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -177,14 +171,6 @@ def _tableau_counter(n: int, f: int, t: int) -> Counter:
     return bijection.tableau_weight_counts(n, f, t)
 
 
-@lru_cache(maxsize=None)
-def _series(f: int, t: int, order: int) -> ZSeries:
-    # the frame's generating function: the sum of the cached symbolic
-    # terms that the identity registry reads too
-    first, *rest = _frame_terms(f, t, order, _SYMBOLIC)
-    return sum(rest, first)
-
-
 # ---------------------------------------------------------------------------
 # theorem checks
 
@@ -193,11 +179,6 @@ def _statuses(values: list[Value]) -> str:
     if not computed:
         return EXCLUDED
     return AGREE if all(v == computed[0] for v in computed[1:]) else DISAGREE
-
-
-def _timed(report: CheckReport, started: float) -> CheckReport:
-    report.timing = time.perf_counter() - started
-    return report
 
 
 def _series_order(grid_top: int) -> int:
@@ -317,10 +298,11 @@ def check_theorem(check: str, max_n: int) -> list[CheckReport]:
     Series and closed forms run to min(max_n, 12) for thm1 and thm6 and
     to min(max_n, 9) for every other family.  Tableaux stop at n <= 8
     (n <= 9 for thm5), paths at n <= 9 (n <= 8 for thm1 and thm6); a
-    layer beyond its cap appears as None.  The series layer reads one
-    series per frame at order max(min(max_n, 12), 3) for every family;
-    a coefficient below the truncation does not depend on the order.  A
-    ValueError from the closed form marks the point
+    layer beyond its cap appears as None.  The series layer sums [z^n]
+    of the frame's symbolic terms, the cached terms that the identity
+    registry reads, built at order max(min(max_n, 12), 3) for every
+    family; a coefficient below the truncation does not depend on the
+    order.  A ValueError from the closed form marks the point
     formula-domain-excluded.  Reports come back in canonical sorted order.
     """
     if check not in FAMILIES:
@@ -330,14 +312,15 @@ def check_theorem(check: str, max_n: int) -> list[CheckReport]:
     reports = []
     for n in range(fam.first_n, min(max_n, fam.top) + 1):
         # A grid visits each frame's params in one run, so the frame's
-        # [z^n] map is unpacked from MultiPoly's keys once per run; only
-        # the current map is kept.
+        # [z^n] map is summed from its cached symbolic terms and unpacked
+        # from MultiPoly's keys once per run; only the current map is kept.
         frame = series_map = None
         for params in fam.grid(n):
-            started = time.perf_counter()
             f, t = fam.frame(params)
             if (f, t) != frame:
-                frame, series_map = (f, t), _series(f, t, order)[n].terms
+                first, *rest = (term[n] for term in
+                                _frame_terms(f, t, order, _SYMBOLIC))
+                frame, series_map = (f, t), sum(rest, first).terms
             maps = (_tableau_counter(n, f, t) if n <= fam.tableau_cap else None,
                     _path_counter(n, f, t) if n <= fam.path_cap else None,
                     series_map)
@@ -349,8 +332,8 @@ def check_theorem(check: str, max_n: int) -> list[CheckReport]:
                 form, status = None, EXCLUDED
             else:
                 status = _statuses([tab, path, ser, form])
-            rep = CheckReport(check, params, tab, path, ser, form, status)
-            reports.append(_timed(rep, started))
+            reports.append(CheckReport(check, params, tab, path, ser, form,
+                                       status))
     return reports
 
 
@@ -611,7 +594,6 @@ def check_lemma(lemma_id: int, n: int, order: int) -> CheckReport:
                          f"valuation on the lemma grids, got order={order}")
     grid, index, reading, rhs = _LEMMAS[lemma_id]
     symbolic = reading == _SYMBOLIC
-    started = time.perf_counter()
     params: dict = {"lemma": lemma_id, "n": n}
     mismatches = []
     first_lhs = first_rhs = None
@@ -620,10 +602,9 @@ def check_lemma(lemma_id: int, n: int, order: int) -> CheckReport:
         try:
             terms = _frame_terms(f, t, order, reading)
         except NonExactDivision as exc:
-            rep = CheckReport(f"lemma{lemma_id}", params,
-                              series=f"{_point_str(point)}: {exc}",
-                              status=BUILDER_ERROR)
-            return _timed(rep, started)
+            return CheckReport(f"lemma{lemma_id}", params,
+                               series=f"{_point_str(point)}: {exc}",
+                               status=BUILDER_ERROR)
         series = terms[index[t >= f] if isinstance(index, tuple) else index]
         if reading == _D_ALPHA:
             series = series.alpha_derivative().substitute(alpha=1)
@@ -648,14 +629,10 @@ def check_lemma(lemma_id: int, n: int, order: int) -> CheckReport:
                 if first_lhs is None:
                     first_lhs = f"{_point_str(point)}: {got_i}"
                     first_rhs = f"{want_i}"
-    if mismatches:
-        params = dict(params, mismatches=mismatches)
-        rep = CheckReport(f"lemma{lemma_id}", params,
-                          series=first_lhs, formula=first_rhs,
-                          status=DISAGREE)
-    else:
-        rep = CheckReport(f"lemma{lemma_id}", params, status=AGREE)
-    return _timed(rep, started)
+    if not mismatches:
+        return CheckReport(f"lemma{lemma_id}", params, status=AGREE)
+    return CheckReport(f"lemma{lemma_id}", dict(params, mismatches=mismatches),
+                       series=first_lhs, formula=first_rhs, status=DISAGREE)
 
 
 def check_identity_10_1() -> list[CheckReport]:
@@ -667,13 +644,11 @@ def check_identity_10_1() -> list[CheckReport]:
     reports = []
     for m in range(IDENTITY_BOUND + 1):
         for k in range(m + 1):
-            started = time.perf_counter()
             lhs = sum(_sign(k - l) * _binom(m, l) for l in range(k + 1))
             rhs = _binom(m - 1, k)
-            rep = CheckReport("identity_10_1", {"K": k, "M": m},
-                              series=lhs, formula=rhs,
-                              status=AGREE if lhs == rhs else DISAGREE)
-            reports.append(_timed(rep, started))
+            reports.append(CheckReport(
+                "identity_10_1", {"K": k, "M": m}, series=lhs, formula=rhs,
+                status=AGREE if lhs == rhs else DISAGREE))
     return reports
 
 

@@ -181,8 +181,6 @@ def test_blocks_power_tables_match_pow():
 def test_series_blocks_are_shared():
     b = series_blocks(6, 1, None, 2)
     assert series_blocks(6, 1, None, 2) is b
-    assert series_blocks(6, x_val=1, alpha_val=2) is b
-    assert series_blocks(6) is series_blocks(6, None, None, None)
     assert series_blocks(6) is not b
 
 

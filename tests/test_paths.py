@@ -237,6 +237,21 @@ def test_path_oracles_reject_a_bad_length(count, bad):
     assert count(0)  # the empty path or walk
 
 
+@pytest.mark.parametrize("frame, name, bad", [
+    ((3, 0, 1.5), "t", 1.5),
+    ((3, 0, "1"), "t", "1"),
+    ((3, 1.5, 0), "f", 1.5),
+    ((3, "1", 0), "f", "1"),
+])
+def test_enumerate_paths_rejects_a_bad_height(frame, name, bad):
+    # rejected before the search, so the tail table gains no entry
+    size = paths._tails.cache_info().currsize
+    with pytest.raises(ValueError) as err:
+        list(enumerate_paths(*frame))
+    assert str(err.value) == f"{name} must be a nonnegative integer, got {bad!r}"
+    assert paths._tails.cache_info().currsize == size
+
+
 @pytest.fixture
 def fresh_tails():
     tails = paths._tails

@@ -502,8 +502,7 @@ def test_solve_M_matches_the_convolution_reference(subs):
 def test_solve_M_has_one_cache_entry_per_truncation():
     solve_M.cache_clear()
     first = solve_M(9)
-    assert solve_M(9, None, None, None) is first
-    assert solve_M(9, x_val=None, alpha_val=None) is first
+    assert solve_M(9) is first
     info = solve_M.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
 

@@ -164,7 +164,6 @@ def test_identity_10_1_only_origin_fails():
 def test_run_all_small_is_ok_and_deterministic():
     a = run_all(3)
     b = run_all(3)
-    # timing varies run to run; the serialized projection must not
     assert [r.to_json_dict() for r in a["reports"]] == \
         [r.to_json_dict() for r in b["reports"]]
     assert a["summary"] == b["summary"]
@@ -265,8 +264,7 @@ def _count_term_builders(monkeypatch) -> Counter:
 
     for name in ("straight_terms", "skew_drop_terms", "skew_rise_terms"):
         monkeypatch.setattr(genfun, name, counted(getattr(genfun, name)))
-    for cache in (verify._frame_terms, verify._series):
-        cache.cache_clear()
+    verify._frame_terms.cache_clear()
     return calls
 
 
@@ -292,8 +290,7 @@ def test_run_all_builds_each_frame_reading_once(monkeypatch):
     try:
         run_all(12)
     finally:
-        for cache in (verify._frame_terms, verify._series):
-            cache.cache_clear()
+        verify._frame_terms.cache_clear()
     assert sum(calls.values()) == len(calls) == 36
 
 
