@@ -7,7 +7,7 @@ cross-checks all of those layers against each other at desk scale.
 """
 
 from svtab.shapes import TwoRowShape, SetValuedTableau, cells, is_valid, enumerate_tableaux, count_tableaux
-from svtab.paths import Step, ColouredPath, is_admissible, weight, enumerate_paths, count_paths
+from svtab.paths import ColouredPath, is_admissible, weight, enumerate_paths, count_paths
 from svtab.bijection import tableau_to_path, path_to_tableau
 from svtab.series import MultiPoly, ZSeries, NonExactDivision, solve_M, solve_M0, check_reversion
 from svtab.genfun import gf_straight, gf_skew, refined_coefficient, expected_downsteps_series
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 __all__ = [
     "TwoRowShape", "SetValuedTableau", "cells", "is_valid",
     "enumerate_tableaux", "count_tableaux",
-    "Step", "ColouredPath", "is_admissible", "weight",
+    "ColouredPath", "is_admissible", "weight",
     "enumerate_paths", "count_paths",
     "tableau_to_path", "path_to_tableau",
     "MultiPoly", "ZSeries", "NonExactDivision",

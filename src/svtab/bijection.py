@@ -1,23 +1,24 @@
 """The scan bijection between tableaux and admissible paths.
 
 Reading the entries 1..n in order: the minimum of a row-1 cell becomes
-an up-step, the minimum of a row-2 cell a down-step, every other row-1
-entry an umber horizontal and every other row-2 entry a denim
-horizontal.  The path starts at height f and ends at height t.  The
-inverse scan opens a new cell per up/down step and appends horizontal
-entries to the most recently opened cell of the matching row.
+an up-step U, the minimum of a row-2 cell a down-step D, every other
+row-1 entry an umber horizontal u and every other row-2 entry a denim
+horizontal d; the path's step word is these tags in entry order.  The
+path starts at height f and ends at height t.  The inverse scan opens a
+new cell per up/down step and appends horizontal entries to the most
+recently opened cell of the matching row.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from svtab.paths import ColouredPath, Step, is_admissible, weight
+from svtab.paths import ColouredPath, is_admissible, weight
 from svtab.shapes import (SetValuedTableau, TwoRowShape, enumerate_tableaux,
                           is_valid, shape_range)
 
 # (minimum, every other entry) of a row-1 and of a row-2 cell
-_ROW_STEPS = ((Step.UP, Step.HOR_UMBER), (Step.DOWN, Step.HOR_DENIM))
+_ROW_STEPS = ("Uu", "Dd")
 
 
 def tableau_to_path(tab: SetValuedTableau) -> ColouredPath:
@@ -25,13 +26,13 @@ def tableau_to_path(tab: SetValuedTableau) -> ColouredPath:
         raise ValueError("tableau violates the ordering condition")
     r1 = tab.shape.row1_cells
     # every slot is overwritten: the cells partition 1..n (checked above)
-    steps: list[Step] = [Step.UP] * tab.n
+    steps = ["U"] * tab.n
     for idx, s in enumerate(tab.content):
         opener, other = _ROW_STEPS[idx >= r1]
         for entry in s:
             steps[entry - 1] = other
         steps[min(s) - 1] = opener
-    return ColouredPath(tab.shape.f, tuple(steps))
+    return ColouredPath(tab.shape.f, "".join(steps))
 
 
 def path_to_tableau(path: ColouredPath) -> SetValuedTableau:
@@ -41,14 +42,12 @@ def path_to_tableau(path: ColouredPath) -> SetValuedTableau:
         raise ValueError("path violates the admissibility constraints")
     row1: list[list[int]] = []
     row2: list[list[int]] = []
-    # a Step.UP-style member lookup per step costs more than the step
-    up, down, umber = Step.UP, Step.DOWN, Step.HOR_UMBER
     for i, s in enumerate(path.steps, start=1):
-        if s is up:
+        if s == "U":
             row1.append([i])
-        elif s is down:
+        elif s == "D":
             row2.append([i])
-        elif s is umber:
+        elif s == "u":
             row1[-1].append(i)
         else:
             row2[-1].append(i)

@@ -1,7 +1,8 @@
 """Two-coloured Motzkin paths with the admissibility constraints.
 
-Steps are Up (+1), Down (-1) and two colours of horizontal step, umber
-and denim.  A path lives at nonnegative heights.  Admissibility: no
+A path is a start height and its step word, a str over the tags U (up,
++1), D (down, -1) and the two colours of horizontal step, u (umber) and
+d (denim).  A path lives at nonnegative heights.  Admissibility: no
 umber horizontal before the first up-step, no umber horizontal at
 height 0, no denim horizontal before the first down-step.  "Before" is
 strict sequence position.
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Iterator
 
@@ -36,29 +36,22 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
-class Step(Enum):
-    UP = "U"
-    DOWN = "D"
-    HOR_UMBER = "u"
-    HOR_DENIM = "d"
-
-
 @dataclass(frozen=True, init=False)
 class ColouredPath:
     start_height: int
-    steps: tuple[Step, ...]
+    steps: str
 
-    def __init__(self, start_height: int, steps) -> None:
+    def __init__(self, start_height: int, steps: str) -> None:
         # written out rather than generated with a __post_init__, so a
         # path costs one check and two stores
         _check_count("start_height", start_height)
         _setattr(self, "start_height", start_height)
-        _setattr(self, "steps", tuple(steps))
+        _setattr(self, "steps", steps)
 
     @property
     def end_height(self) -> int:
-        return (self.start_height + self.steps.count(Step.UP)
-                - self.steps.count(Step.DOWN))
+        return (self.start_height + self.steps.count("U")
+                - self.steps.count("D"))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -67,19 +60,19 @@ class ColouredPath:
 def _step_table(umber_on_axis: bool) -> dict:
     # The step rules, once: for each state (h > 0, seen_up, seen_down),
     # the allowed moves in tag order D < U < d < u, each a tuple
-    # (step, rise, seen_up after, seen_down after).
+    # (tag, rise, seen_up after, seen_down after).
     table = {}
     for above in (False, True):
         for seen_up in (False, True):
             for seen_down in (False, True):
                 moves = []
                 if above:
-                    moves.append((Step.DOWN, -1, seen_up, True))
-                moves.append((Step.UP, 1, True, seen_down))
+                    moves.append(("D", -1, seen_up, True))
+                moves.append(("U", 1, True, seen_down))
                 if seen_down:
-                    moves.append((Step.HOR_DENIM, 0, seen_up, True))
+                    moves.append(("d", 0, seen_up, True))
                 if seen_up and (above or umber_on_axis):
-                    moves.append((Step.HOR_UMBER, 0, True, seen_down))
+                    moves.append(("u", 0, True, seen_down))
                 table[above, seen_up, seen_down] = tuple(moves)
     return table
 
@@ -97,7 +90,7 @@ def is_admissible(path: ColouredPath) -> bool:
     seen_up = seen_down = False
     for s in path.steps:
         for move in _STEPS[h > 0, seen_up, seen_down]:
-            if move[0] is s:
+            if move[0] == s:
                 break
         else:
             return False
@@ -106,11 +99,8 @@ def is_admissible(path: ColouredPath) -> bool:
     return True
 
 
-_UMBER, _DENIM, _DOWN = Step.HOR_UMBER, Step.HOR_DENIM, Step.DOWN
-
-
-def _word_weight(steps: tuple[Step, ...]) -> tuple[int, int, int]:
-    return steps.count(_UMBER), steps.count(_DENIM), steps.count(_DOWN)
+def _word_weight(steps: str) -> tuple[int, int, int]:
+    return steps.count("u"), steps.count("d"), steps.count("D")
 
 
 def weight(path: ColouredPath) -> tuple[int, int, int]:
@@ -126,7 +116,7 @@ def enumerate_paths(n: int, f: int, t: int) -> Iterator[ColouredPath]:
 
     Equivalent to filtering the 4^n step words; the search just abandons
     prefixes that already violate a constraint or cannot reach t.  Output
-    order is lexicographic on the step tags (D < U < d < u).
+    order is the plain string order of the step words (D < U < d < u).
     """
     for name, value in (("n", n), ("f", f), ("t", t)):
         _check_count(name, value)
@@ -142,22 +132,22 @@ _TAIL = 4
 
 @lru_cache(maxsize=None)
 def _tails(umber_on_axis: bool, h: int, seen_up: bool, seen_down: bool,
-           r: int, t: int) -> tuple[tuple[Step, ...], ...]:
+           r: int, t: int) -> tuple[str, ...]:
     # Every step word of length r that starts at height h with the given
     # colour gates and ends at height t, in table order.  A word's tail
     # depends on nothing else, so each state is searched once.
     if not r:
-        return ((),) if h == t else ()
+        return ("",) if h == t else ()
     words = []
     for s, rise, up, down in _TABLES[umber_on_axis][h > 0, seen_up, seen_down]:
         if abs(h + rise - t) < r:
-            words += [(s, *w) for w in _tails(umber_on_axis, h + rise, up,
-                                              down, r - 1, t)]
+            words += [s + w for w in _tails(umber_on_axis, h + rise, up,
+                                            down, r - 1, t)]
     return tuple(words)
 
 
 def _walk(n: int, h: int, t: int, umber_on_axis: bool, seen_up: bool,
-          seen_down: bool) -> Iterator[tuple[Step, ...]]:
+          seen_down: bool) -> Iterator[str]:
     # Every step word of length n that starts at height h with the given
     # colour gates and ends at height t, in table order.  One explicit
     # stack of (prefix, height, gates) searches the first n - r steps: the
@@ -169,7 +159,7 @@ def _walk(n: int, h: int, t: int, umber_on_axis: bool, seen_up: bool,
         return
     table = _TABLES[umber_on_axis]
     r = min(n, _TAIL)
-    stack = [((), h, seen_up, seen_down)]
+    stack = [("", h, seen_up, seen_down)]
     pop, push = stack.pop, stack.append
     while stack:
         prefix, h, seen_up, seen_down = pop()
@@ -180,7 +170,7 @@ def _walk(n: int, h: int, t: int, umber_on_axis: bool, seen_up: bool,
         else:
             for s, rise, up, down in reversed(table[h > 0, seen_up, seen_down]):
                 if abs(h + rise - t) < left:
-                    push(((*prefix, s), h + rise, up, down))
+                    push((prefix + s, h + rise, up, down))
 
 
 def count_paths(n: int, f: int, t: int) -> int:
@@ -193,7 +183,7 @@ def weight_counts(n: int, f: int, t: int) -> Counter:
 
 
 def encode_path(path: ColouredPath) -> str:
-    return f"{path.start_height}:" + "".join(s.value for s in path.steps)
+    return f"{path.start_height}:{path.steps}"
 
 
 def decode_path(text: str) -> ColouredPath:
@@ -204,12 +194,10 @@ def decode_path(text: str) -> ColouredPath:
         start = int(head)
     except ValueError:
         raise ValueError(f"bad start height in {text!r}") from None
-    by_tag = {s.value: s for s in Step}
-    try:
-        steps = tuple(by_tag[ch] for ch in body)
-    except KeyError as exc:
-        raise ValueError(f"unknown step tag {exc.args[0]!r} in {text!r}") from None
-    return ColouredPath(start, steps)
+    for ch in body:
+        if ch not in "DUdu":
+            raise ValueError(f"unknown step tag {ch!r} in {text!r}")
+    return ColouredPath(start, body)
 
 
 def _closed_walk_weights(n: int, umber_on_axis: bool) -> Counter:

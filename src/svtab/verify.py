@@ -18,8 +18,8 @@ of the left side against an independent evaluation of the stated right
 side, symbolically in x, y, alpha where the identity is symbolic.  Each
 identity is a data row: a sub-grid of frames, the index of its left side
 among the terms of ``genfun.frame_terms``, the reading of that term
-(symbolic, at x = y = alpha = 1, or d/dalpha at x = y = 1) and the right
-side.
+(symbolic, at x = y = alpha = 1, or d/dalpha at x = y = 1, each read off
+the cached symbolic terms that the theorem checks sum) and the right side.
 """
 
 from __future__ import annotations
@@ -319,7 +319,7 @@ def check_theorem(check: str, max_n: int) -> list[CheckReport]:
             f, t = fam.frame(params)
             if (f, t) != frame:
                 first, *rest = (term[n] for term in
-                                _frame_terms(f, t, order, _SYMBOLIC))
+                                _frame_terms(f, t, order))
                 frame, series_map = (f, t), sum(rest, first).terms
             maps = (_tableau_counter(n, f, t) if n <= fam.tableau_cap else None,
                     _path_counter(n, f, t) if n <= fam.path_cap else None,
@@ -523,19 +523,19 @@ _RISE_GRID = tuple({"f": f, "t": t}
 _FULL_GRID = tuple({"f": f, "t": t}
                    for f in range(1, MAX_F + 1) for t in range(MAX_T + 1))
 
-# The readings of a displayed term, as the (x, y, alpha) substitution of
-# frame_terms: symbolic, at x = y = alpha = 1, and d/dalpha at x = y = 1
-# (built at x = y = 1, then differentiated and set at alpha = 1).
-_SYMBOLIC = (None, None, None)
-_AT_111 = (1, 1, 1)
-_D_ALPHA = (1, 1, None)
+# The readings of a displayed term's [z^n] coefficient: symbolic, at
+# x = y = alpha = 1, and d/dalpha at x = y = alpha = 1 (d/dalpha commutes
+# with setting x = y = 1).
+_SYMBOLIC = "symbolic"
+_AT_111 = "at 1,1,1"
+_D_ALPHA = "d/dalpha at 1,1"
 
-# id -> (sub-grid, term index, reading, rhs).  The left side is term
-# `index` of frame_terms(f, t) under the reading; a (drop, rise) index
-# pair serves a sub-grid on both sides of t = f.  f and t are 0 where the
-# sub-grid has no such key.  rhs takes (n, f, t, c, d, e) and gives the
-# x^c y^d alpha^e coefficient of [z^n] where the reading is symbolic, and
-# takes (n, f, t) and gives the integer [z^n] otherwise.
+# id -> (sub-grid, term index, reading, rhs).  The left side is the
+# reading of [z^n] of term `index` of frame_terms(f, t); a (drop, rise)
+# index pair serves a sub-grid on both sides of t = f.  f and t are 0
+# where the sub-grid has no such key.  rhs takes (n, f, t, c, d, e) and
+# gives the x^c y^d alpha^e coefficient of [z^n] where the reading is
+# symbolic, and takes (n, f, t) and gives the integer [z^n] otherwise.
 _LEMMAS: dict[int, tuple] = {
     12: (_T_GRID, 0, _SYMBOLIC, _rhs12),
     13: (_T_GRID, 1, _SYMBOLIC, _rhs13),
@@ -568,9 +568,8 @@ LEMMA_IDS = tuple(sorted(_LEMMAS))
 
 
 @lru_cache(maxsize=None)
-def _frame_terms(f: int, t: int, order: int,
-                 reading: tuple) -> tuple[ZSeries, ...]:
-    return frame_terms(f, t, order, *reading)
+def _frame_terms(f: int, t: int, order: int) -> tuple[ZSeries, ...]:
+    return frame_terms(f, t, order)
 
 
 def _point_str(point: dict) -> str:
@@ -587,6 +586,8 @@ def check_lemma(lemma_id: int, n: int, order: int) -> CheckReport:
     """
     if lemma_id not in _LEMMAS:
         raise ValueError(f"unknown lemma id {lemma_id!r}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     if n > order:
         raise ValueError(f"need order >= n, got order={order} n={n}")
     if order < _series_order(0):
@@ -600,16 +601,14 @@ def check_lemma(lemma_id: int, n: int, order: int) -> CheckReport:
     for point in grid:
         f, t = point.get("f", 0), point.get("t", 0)
         try:
-            terms = _frame_terms(f, t, order, reading)
+            terms = _frame_terms(f, t, order)
         except NonExactDivision as exc:
             return CheckReport(f"lemma{lemma_id}", params,
                                series=f"{_point_str(point)}: {exc}",
                                status=BUILDER_ERROR)
-        series = terms[index[t >= f] if isinstance(index, tuple) else index]
-        if reading == _D_ALPHA:
-            series = series.alpha_derivative().substitute(alpha=1)
+        coeff = terms[index[t >= f] if isinstance(index, tuple) else index][n]
         if symbolic:
-            got = {k: Fraction(v) for k, v in series[n].terms.items()}
+            got = {k: Fraction(v) for k, v in coeff.terms.items()}
             want = {w: v for w in _decomps(n, f, t)
                     if (v := rhs(n, f, t, *w))}
             if got != want:
@@ -622,7 +621,9 @@ def check_lemma(lemma_id: int, n: int, order: int) -> CheckReport:
                                  f"{got.get(key0, 0)}")
                     first_rhs = f"{want.get(key0, 0)}"
         else:
-            got_i = series[n].constant_value()
+            if reading == _D_ALPHA:
+                coeff = coeff.alpha_derivative()
+            got_i = coeff.substitute(x=1, y=1, alpha=1).constant_value()
             want_i = rhs(n, f, t)
             if got_i != want_i:
                 mismatches.append(dict(point))

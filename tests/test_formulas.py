@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from svtab import formulas
+from svtab import formulas, verify
 from svtab.formulas import (
     Convention,
     count_cor2,
@@ -204,6 +204,45 @@ def test_thm6_known_defect_region():
     # and can even leave the integers
     assert count_thm6(7, 2, 1, 2, 0, 3) == Fraction(263, 3)
     assert weight_counts(7, 2, 1)[2, 0, 3] == 90
+
+
+def test_refined_forms_off_the_feasible_support():
+    # The harness asks the refined closed forms only for feasible weights.
+    # Off that support no path exists, yet the printed indicators are wider
+    # than the lemmas they come from: chi(e = 0) in thm1 against lemma 12's
+    # (c, d, e) = (n - t, 0, 0), and chi(t = 0, e = f) in thm6 against
+    # lemma 19's (0, n - f, f).  Measured map, pinned point by point: thm1
+    # gives C(n-1, t-1) where e = 0 < d and t >= 1, thm6 gives C(n-1, f-1)
+    # where t = 0, e = f and c > 0, and both give 0 everywhere else.
+    binom = Convention.binom
+    points = nonzero = 0
+    for n in range(1, 21):
+        for f in range(7):
+            for t in range(8):
+                feasible = set(verify.feasible_weights(n, f, t))
+                truth = weight_counts(n, f, t) if n <= 6 else None
+                for e in range((n + f - t) // 2 + 1):
+                    for c in range(n - 2 * e + f - t + 1):
+                        d = n - 2 * e + f - t - c
+                        if (c, d, e) in feasible:
+                            continue
+                        if truth is not None:
+                            assert truth[c, d, e] == 0, (n, f, t, c, d, e)
+                        if f == 0:
+                            got = count_thm1(n, t, c, d, e)
+                            want = (binom(n - 1, t - 1)
+                                    if e == 0 < d and t >= 1 else 0)
+                        else:
+                            got = count_thm6(n, f, t, c, d, e)
+                            want = (binom(n - 1, f - 1)
+                                    if t == 0 and e == f and c > 0 else 0)
+                        assert got == want, (n, f, t, c, d, e)
+                        points += 1
+                        nonzero += got != 0
+    assert (points, nonzero) == (23301, 1841)
+    # the smallest instances, as the CLI's --oracle comparison shows them
+    assert count_thm1(2, 1, 0, 1, 0) == 1
+    assert count_thm6(2, 1, 0, 1, 0, 1) == 1
 
 
 def test_thm7_totals_match_oracle_when_t_not_between_0_and_f():

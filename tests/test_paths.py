@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from svtab import paths
 from svtab.paths import (
     ColouredPath,
-    Step,
     count_paths,
     decode_path,
     encode_path,
@@ -24,43 +23,38 @@ from svtab.paths import (
 from svtab.series import solve_M, solve_M0
 
 
-def path(start, tags):
-    by_tag = {s.value: s for s in Step}
-    return ColouredPath(start, tuple(by_tag[ch] for ch in tags))
-
-
 def test_path_below_axis_is_inadmissible():
-    assert not is_admissible(path(0, "D"))
-    assert not is_admissible(path(1, "DD"))
-    assert is_admissible(path(1, "DU"))  # touching zero is fine
+    assert not is_admissible(ColouredPath(0, "D"))
+    assert not is_admissible(ColouredPath(1, "DD"))
+    assert is_admissible(ColouredPath(1, "DU"))  # touching zero is fine
     with pytest.raises(ValueError):
-        ColouredPath(-1, ())
+        ColouredPath(-1, "")
 
 
 def test_admissibility_umber_rules():
     # umber before the first up step is forbidden
-    assert not is_admissible(path(1, "uU"))
-    assert is_admissible(path(1, "Uu"))
+    assert not is_admissible(ColouredPath(1, "uU"))
+    assert is_admissible(ColouredPath(1, "Uu"))
     # umber on the axis is forbidden even after an up step
-    assert not is_admissible(path(1, "UDDu"))
-    assert is_admissible(path(1, "UDu"))
+    assert not is_admissible(ColouredPath(1, "UDDu"))
+    assert is_admissible(ColouredPath(1, "UDu"))
 
 
 def test_admissibility_denim_rules():
     # denim before the first down step is forbidden
-    assert not is_admissible(path(2, "dD"))
-    assert is_admissible(path(2, "Dd"))
+    assert not is_admissible(ColouredPath(2, "dD"))
+    assert is_admissible(ColouredPath(2, "Dd"))
     # height zero does not block denim
-    assert is_admissible(path(1, "Dd"))
+    assert is_admissible(ColouredPath(1, "Dd"))
 
 
 def test_empty_path_is_admissible():
-    assert is_admissible(path(0, ""))
-    assert is_admissible(path(3, ""))
+    assert is_admissible(ColouredPath(0, ""))
+    assert is_admissible(ColouredPath(3, ""))
 
 
 def test_weight_counts_steps():
-    p = path(2, "DDUudddUD")
+    p = ColouredPath(2, "DDUudddUD")
     assert weight(p) == (1, 3, 3)
     assert p.end_height == 1
     assert len(p) == 9
@@ -98,9 +92,8 @@ def test_enumeration_equals_filtered_step_words():
     # Reference straight from the definition: every one of the 4^n step
     # words in tag order D < U < d < u, kept when admissible and ending at
     # height t.  The enumerator must yield exactly these, in this order.
-    tags = sorted(Step, key=lambda s: s.value)
     for n in range(7):
-        words = list(product(tags, repeat=n))
+        words = ["".join(w) for w in product("DUdu", repeat=n)]
         for f in range(4):
             for t in range(4):
                 ref = [p for p in (ColouredPath(f, w) for w in words)
@@ -109,31 +102,30 @@ def test_enumeration_equals_filtered_step_words():
 
 
 def test_path_record_contract():
-    # a list of steps is frozen to a tuple, and the record compares,
-    # hashes and prints as the normalised dataclass
-    p = ColouredPath(1, [Step.UP, Step.HOR_DENIM])
-    q = ColouredPath(start_height=1, steps=(Step.UP, Step.HOR_DENIM))
-    assert type(p.steps) is tuple
+    # a path is its start height and its step word, and the record
+    # compares, hashes and prints as the dataclass
+    p = ColouredPath(1, "Ud")
+    q = ColouredPath(start_height=1, steps="Ud")
+    assert type(p.steps) is str and p.steps == "Ud"
     assert p == q and hash(p) == hash(q)
     assert p != ColouredPath(2, p.steps)
-    assert repr(p) == ("ColouredPath(start_height=1, steps=(<Step.UP: 'U'>, "
-                       "<Step.HOR_DENIM: 'd'>))")
+    assert repr(p) == "ColouredPath(start_height=1, steps='Ud')"
     assert dataclasses.replace(p, start_height=2) == ColouredPath(2, p.steps)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        p.steps = ()
+        p.steps = ""
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.start_height = 0
     for bad in (-1, 1.0, "1"):
         with pytest.raises(ValueError) as err:
-            ColouredPath(bad, ())
+            ColouredPath(bad, "")
         assert str(err.value) == \
             f"start_height must be a nonnegative integer, got {bad!r}"
 
 
 def test_enumeration_order_at_larger_n():
     # The filter reference above stops at n = 6.  At n = 7 and 8 the
-    # stream must still be strictly increasing in tag order D < U < d < u
-    # (the ASCII order of the tags), hold only admissible paths of the
+    # stream must still be in plain string order of the step words
+    # (D < U < d < u), without repeats, hold only admissible paths of the
     # frame, and have as many paths as its weight map counts.
     for n in (7, 8):
         for f in range(4):
@@ -142,8 +134,8 @@ def test_enumeration_order_at_larger_n():
                 for p in enumerate_paths(n, f, t):
                     assert is_admissible(p) and p.end_height == t
                     assert p.start_height == f and len(p) == n
-                    words.append("".join(s.value for s in p.steps))
-                assert all(a < b for a, b in zip(words, words[1:])), (n, f, t)
+                    words.append(p.steps)
+                assert words == sorted(set(words)), (n, f, t)
                 assert len(words) == sum(weight_counts(n, f, t).values())
 
 
@@ -153,12 +145,15 @@ def test_encode_decode_round_trip():
 
 
 def test_decode_rejects_malformed_text():
-    with pytest.raises(ValueError):
-        decode_path("UDU")  # no start height
-    with pytest.raises(ValueError):
-        decode_path("x:UD")
-    with pytest.raises(ValueError):
-        decode_path("1:UQ")
+    for text, message in [
+        ("UDU", "missing ':' in path encoding 'UDU'"),  # no start height
+        ("x:UD", "bad start height in 'x:UD'"),
+        ("1:UQ", "unknown step tag 'Q' in '1:UQ'"),
+        ("1:U\nD", "unknown step tag '\\n' in '1:U\\nD'"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            decode_path(text)
+        assert str(err.value) == message
 
 
 @settings(max_examples=40, deadline=None)
@@ -196,20 +191,19 @@ def _closed_word_weights(n, umber_on_axis):
     # Reference straight from the definition: the (c, d, e) Counter of the
     # 4^n step words that stay at height >= 0 and end at 0, without an
     # umber step at height 0 unless umber_on_axis.
-    rise = {Step.UP: 1, Step.DOWN: -1, Step.HOR_UMBER: 0, Step.HOR_DENIM: 0}
+    rise = {"U": 1, "D": -1, "u": 0, "d": 0}
     out = Counter()
-    for word in product(Step, repeat=n):
+    for word in product("DUdu", repeat=n):
         h = 0
         for s in word:
-            if s is Step.HOR_UMBER and h == 0 and not umber_on_axis:
+            if s == "u" and h == 0 and not umber_on_axis:
                 break
             h += rise[s]
             if h < 0:
                 break
         else:
             if h == 0:
-                out[word.count(Step.HOR_UMBER), word.count(Step.HOR_DENIM),
-                    word.count(Step.DOWN)] += 1
+                out[word.count("u"), word.count("d"), word.count("D")] += 1
     return out
 
 

@@ -149,6 +149,11 @@ def test_lemma_rejects_bad_arguments():
         check_lemma(11, 4, 4)
     with pytest.raises(ValueError):
         check_lemma(13, 9, 4)  # n beyond the series order
+    for lemma_id in verify.LEMMA_IDS:  # n below the registry grids
+        for n in (0, -1):
+            with pytest.raises(ValueError) as err:
+                check_lemma(lemma_id, n, 6)
+            assert str(err.value) == f"need n >= 1, got n={n}"
     for lemma_id in verify.LEMMA_IDS:  # order below a term valuation on the grid
         with pytest.raises(ValueError, match="need order >= 3"):
             check_lemma(lemma_id, 1, 2)
@@ -268,10 +273,10 @@ def _count_term_builders(monkeypatch) -> Counter:
     return calls
 
 
-def test_lemma_layer_builds_each_frame_reading_once(monkeypatch):
-    # Every left side is a term of one cached frame_terms call, so the
-    # lemma layer asks each term builder for each argument set once: 16
-    # frames symbolic, 16 at x = y = alpha = 1, 4 straight at x = y = 1.
+def test_lemma_layer_builds_each_frame_once(monkeypatch):
+    # Every left side is read off [z^n] of one cached symbolic
+    # frame_terms call, so the lemma layer asks the term builders for each
+    # of its 16 frames once, and for no specialised build.
     calls = _count_term_builders(monkeypatch)
     try:
         for lemma_id in verify.LEMMA_IDS:
@@ -279,19 +284,19 @@ def test_lemma_layer_builds_each_frame_reading_once(monkeypatch):
                 check_lemma(lemma_id, n, verify.LEMMA_BOUND)
     finally:
         verify._frame_terms.cache_clear()
-    assert sum(calls.values()) == len(calls) == 36
+    assert sum(calls.values()) == len(calls) == 16
 
 
-def test_run_all_builds_each_frame_reading_once(monkeypatch):
+def test_run_all_builds_each_frame_once(monkeypatch):
     # The theorem checks sum the symbolic terms that the identity registry
     # reads, and both read them at one series order, so a whole run asks
-    # for the same 36 argument sets as the lemma layer alone, once each.
+    # for the same 16 frames as the lemma layer alone, once each.
     calls = _count_term_builders(monkeypatch)
     try:
         run_all(12)
     finally:
         verify._frame_terms.cache_clear()
-    assert sum(calls.values()) == len(calls) == 36
+    assert sum(calls.values()) == len(calls) == 16
 
 
 def test_report_bytes_are_pinned(tmp_path, capsys):
