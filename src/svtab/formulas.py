@@ -41,6 +41,10 @@ class Convention:
         return comb(a, b)
 
     @staticmethod
+    def sign(exponent: int) -> int:
+        return -1 if exponent % 2 else 1
+
+    @staticmethod
     def chi(condition: bool) -> int:
         return 1 if condition else 0
 
@@ -84,10 +88,7 @@ class Convention:
 _binom = Convention.binom
 _chi = Convention.chi
 _term = Convention.term
-
-
-def _sign(exponent: int) -> int:
-    return -1 if exponent % 2 else 1
+_sign = Convention.sign
 
 
 def _as_count(value: Count) -> Count:

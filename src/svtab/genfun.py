@@ -55,9 +55,12 @@ class SeriesBlocks:
     """Shared sub-expressions for one (order, substitution) pair.
 
     The optional integer substitutions replace a variable everywhere,
-    which keeps coefficients small in specialized pipelines.  The term
-    builders get them from series_blocks, so repeated calls with one
-    (order, substitution) share one object, tables included.
+    which keeps coefficients small in specialized pipelines.  The line
+    quotients (gap_over_m's terms over a line, over_ms and over_xu_yu)
+    need nonzero x and y: a zero leaves a line without its constant term,
+    and exact_divide refuses it.  The term builders get the blocks from
+    series_blocks, so repeated calls with one (order, substitution) share
+    one object, tables included.
     """
 
     def __init__(self, order: int, x_val: Optional[int] = None,
@@ -119,7 +122,7 @@ class SeriesBlocks:
         parts = []
         for c, k, j in pieces:
             parts += [(c * a, 1, rows[k - 1][j]), (c * b, 1, rows[k][j])]
-        return _quotient(self.combine(*parts), line)
+        return self.combine(*parts).exact_divide(line)
 
     @cached_property
     def lines_xy(self) -> ZSeries:
@@ -133,14 +136,15 @@ class SeriesBlocks:
 
         By M's equation (x + alpha u)(y + alpha u) = alpha M - s, so the
         term is c z^2 (alpha M - s) u^(k-2) / (line_x line_y)
-        = c z (alpha u^(k-1) - s z u^(k-2)) / (line_x line_y).  Dividing
-        by one line and then the other would leave the first quotient's
-        top coefficient unknown where that line has valuation 1.
+        = c z (alpha u^(k-1) - s z u^(k-2)) / (line_x line_y).  One
+        division by the product, not two by the lines in turn: for seven
+        symbolic quotients at order 24 the two took 1.2x as long (10.4 ->
+        12.2 ms, best of 20, on a 2-core Xeon VM).
         """
         zm_pow = self.zm_pow
         num = self.combine((c * self.alpha_poly, 1, zm_pow[k - 1]),
                            (-(c * self.slope_poly), 2, zm_pow[k - 2]))
-        return _quotient(num, self.lines_xy)
+        return num.exact_divide(self.lines_xy)
 
 
 def _geom_rows(first: Callable[[Table, int], ZSeries],
@@ -174,27 +178,16 @@ def _over_ms(zm_pow: Table, alpha: MultiPoly, table: Table, k: int) -> ZSeries:
         (c * n).divexact(m) for n, c in enumerate(power.coeffs[:-1])])
 
 
-def _quotient(num: ZSeries, den: ZSeries) -> ZSeries:
-    """num / den, where a vanished divisor over a zero numerator gives 0.
-
-    A line or line_x line_y vanishes only where alpha = 0 and x or y is
-    0, and every numerator over one of them carries a factor alpha, so the
-    term is 0 there.
-    """
-    if den.is_zero() and num.is_zero():
-        return num
-    return num.exact_divide(den)
-
-
 # One entry: callers ask for the same (order, substitution) many times in
-# a row and seldom come back to an older one (run_all(12) builds 4 blocks
-# for 36 requests over 3 distinct keys), while an order-24 symbolic set
-# holds about 2.8 MB once its tables serve the straight frames t <= 3 and
-# the skew frames (1, 3), (2, 0) and (3, 1) (tracemalloc's traced total
-# after those builds, less the total once this cache is cleared).  The
-# key is the argument list as spelled, so series_blocks(6) and
-# series_blocks(6, None, None, None) are two entries; _blocks always
-# passes all four arguments positionally.
+# a row and seldom come back to an older one (traced, the perfbench
+# workloads build 1 block for 16 term builds on verify_grid, 2 for 10 on
+# series_symbolic and 1 for 16 on totals_specialised), while an order-24
+# symbolic set holds about 2.8 MB once its tables serve the straight
+# frames t <= 3 and the skew frames (1, 3), (2, 0) and (3, 1)
+# (tracemalloc's traced total after those builds, less the total once
+# this cache is cleared).  The key is the argument list as spelled, so
+# series_blocks(6) and series_blocks(6, None, None, None) are two
+# entries; _blocks always passes all four arguments positionally.
 @lru_cache(maxsize=1)
 def series_blocks(order: int, x_val: Optional[int] = None,
                   y_val: Optional[int] = None,
@@ -203,18 +196,20 @@ def series_blocks(order: int, x_val: Optional[int] = None,
     return SeriesBlocks(order, x_val, y_val, alpha_val)
 
 
-# At x = 0 or y = 0 some denominators have valuation 1 (line_x line_y has
-# valuation 2 where both are 0), so an exact division leaves its top
-# quotient coefficients unknown: the term builders read blocks one order
-# further per zero and _cut their terms back to order.
-def _blocks(order: int, *subs: Optional[int]) -> SeriesBlocks:
-    return series_blocks(order + subs[:2].count(0), *subs)
+# A zero x or y would leave line_x, line_y or their product without a
+# constant term, so the term builders keep it a variable in their blocks
+# and _set_zeros puts it into their finished terms.
+def _blocks(order: int, x_val: Optional[int], y_val: Optional[int],
+            alpha_val: Optional[int]) -> SeriesBlocks:
+    return series_blocks(order, x_val or None, y_val or None, alpha_val)
 
 
-def _cut(order: int, *terms: ZSeries) -> tuple[ZSeries, ...]:
-    if terms[0].order == order:
+def _set_zeros(x_val: Optional[int], y_val: Optional[int],
+               *terms: ZSeries) -> tuple[ZSeries, ...]:
+    x, y = (0 if v == 0 else None for v in (x_val, y_val))
+    if x is None and y is None:
         return terms
-    return tuple(term.truncate(order) for term in terms)
+    return tuple(term.substitute(x=x, y=y) for term in terms)
 
 
 def straight_terms(t: int, order: int, x_val: Optional[int] = None,
@@ -229,8 +224,8 @@ def straight_terms(t: int, order: int, x_val: Optional[int] = None,
     a = b.alpha_poly
     term1 = b.geom_x_pow[t]
     term2 = b.over_xu_yu(a, t + 2)
-    term3 = _quotient(b.gap_over_m(b.table_x, 1, t, a), b.line_y)
-    return _cut(order, term1, term2, term3)
+    term3 = b.gap_over_m(b.table_x, 1, t, a).exact_divide(b.line_y)
+    return _set_zeros(x_val, y_val, term1, term2, term3)
 
 
 def skew_drop_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
@@ -249,7 +244,7 @@ def skew_drop_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
     x, y, ty = b.x_poly, b.y_poly, b.table_y
     c, ct = a ** (f - t + 1), a ** (f + 1)   # ct = c alpha^t
     term1 = b.geom_y_pow[f - t].scale(a ** (f - t))
-    term2 = _quotient(b.gap_over_m(ty, t + 1, f, ct), b.line_x)
+    term2 = b.gap_over_m(ty, t + 1, f, ct).exact_divide(b.line_x)
     term3 = b.over_ms((ONE, x), b.line_x, (c, f - t + 1, 0), (-c, 1, f - t),
                       (-ct, f + t + 1, 0), (ct, 2 * t + 1, f - t))
     term4 = b.over_ms((x, a), b.line_x, (c, 2, f - t), (-ct, t + 2, f))
@@ -258,7 +253,8 @@ def skew_drop_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
     term6 = b.over_xu_yu(ct, f + t + 2)
     term7 = b.over_ms((y, a), b.line_y, (c, f - t + 2, 0),
                       (-ct, f + t + 2, 0))
-    return _cut(order, term1, term2, term3, term4, term5, term6, term7)
+    return _set_zeros(x_val, y_val, term1, term2, term3, term4, term5, term6,
+                      term7)
 
 
 def skew_rise_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
@@ -276,10 +272,10 @@ def skew_rise_terms(f: int, t: int, order: int, x_val: Optional[int] = None,
     term2 = b.over_ms((b.x_poly, a), b.line_x, (a, t - f + 2, 0),
                       (-ct, f + t + 2, 0))
     term3 = b.over_xu_yu(ct, f + t + 2)
-    term4 = _quotient(b.gap_over_m(b.table_x, 1, t - f, a), b.line_y)
+    term4 = b.gap_over_m(b.table_x, 1, t - f, a).exact_divide(b.line_y)
     term5 = b.over_ms((b.y_poly, a), b.line_y, (a, t - f + 2, 0),
                       (-ct, f + t + 2, 0))
-    return _cut(order, term1, term2, term3, term4, term5)
+    return _set_zeros(x_val, y_val, term1, term2, term3, term4, term5)
 
 
 def frame_terms(f: int, t: int, order: int, x_val: Optional[int] = None,

@@ -43,8 +43,11 @@ class ColouredPath:
 
     def __init__(self, start_height: int, steps: str) -> None:
         # written out rather than generated with a __post_init__, so a
-        # path costs one check and two stores
+        # path costs two checks and two stores; a word of another type
+        # would not hash, encode or compare as its str
         _check_count("start_height", start_height)
+        if not isinstance(steps, str):
+            raise ValueError(f"steps must be a str, got {steps!r}")
         _setattr(self, "start_height", start_height)
         _setattr(self, "steps", steps)
 

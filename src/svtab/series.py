@@ -3,11 +3,12 @@
 Coefficients are polynomials in x, y and alpha with arbitrary-precision
 integer coefficients; z is the series variable.  Everything is exact:
 there is no fraction field, and division of series is only allowed when
-every step of the coefficient recursion divides exactly.  The divisor's
-lowest nonzero coefficient must be a single term, which each step
-divides term by term; every divisor the generating functions use meets
-this.  A failed division raises NonExactDivision, which in this package
-always means a generating-function expression was transcribed wrongly.
+every step of the coefficient recursion divides exactly.  The divisor
+must be a unit: its constant coefficient a single nonzero term, which
+each step divides term by term; every divisor the generating functions
+use meets this.  A failed division raises NonExactDivision, which in
+this package always means a generating-function expression was
+transcribed wrongly.
 
 A polynomial keys each term x^a y^b alpha^c by one int,
 a << 42 | b << 21 | c: three 21-bit fields whose top bits are guard
@@ -403,42 +404,28 @@ class ZSeries:
             raise ValueError(
                 f"order mismatch: {self.order} vs {other.order}")
 
-    def valuation(self) -> Optional[int]:
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                return i
-        return None
-
     def exact_divide(self, other: "ZSeries") -> "ZSeries":
         """Quotient Q with Q*other = self modulo z^(order+1).
 
-        The divisor's lowest nonzero coefficient must be one term; every
-        step divides by it with MultiPoly.divexact, so a longer one raises
-        ValueError.  Raises NonExactDivision when a coefficient step fails
-        to divide exactly or when the numerator's valuation is too small.
+        The divisor must be a unit, its constant coefficient one nonzero
+        term: every step divides by it with MultiPoly.divexact, so a
+        longer one raises ValueError.  Raises NonExactDivision when the
+        constant coefficient is 0 or a coefficient step fails to divide
+        exactly.
         """
         self._check(other)
-        n = self.order
-        v = other.valuation()
-        if v is None:
-            raise NonExactDivision("division by the zero series")
-        for i in range(min(v, n + 1)):
-            if not self.coeffs[i].is_zero():
-                raise NonExactDivision(
-                    f"numerator has a z^{i} term below the denominator valuation {v}")
         b = other.coeffs
-        lead = b[v]
-        # the quotient's nonzero positions, and the divisor's past v
-        known: list[int] = []
-        tail = {j for j in range(v + 1, n + 1) if b[j]}
-        out = [ZERO] * (n + 1)
-        for k in range(n + 1 - v):
-            acc = self.coeffs[v + k] - MultiPoly.sum_of_products(
-                (out[j], b[v + k - j]) for j in known if v + k - j in tail)
-            out[k] = acc.divexact(lead)
-            if out[k]:
-                known.append(k)
-        return ZSeries(n, out)
+        lead = b[0]
+        if not lead:
+            raise NonExactDivision("the divisor's constant coefficient is 0")
+        # the divisor's nonzero positions past 0
+        tail = [j for j in range(1, self.order + 1) if b[j]]
+        out: list[MultiPoly] = []
+        for k, c in enumerate(self.coeffs):
+            acc = c - MultiPoly.sum_of_products(
+                (out[k - j], b[j]) for j in tail if j <= k)
+            out.append(acc.divexact(lead))
+        return ZSeries(self.order, out)
 
     def z_derivative(self) -> "ZSeries":
         """Formal d/dz; the result is truncated one order lower."""

@@ -340,10 +340,7 @@ def check_theorem(check: str, max_n: int) -> list[CheckReport]:
 # ---------------------------------------------------------------------------
 # identity registry, ids 12..36
 
-def _sign(k: int) -> int:
-    return -1 if k % 2 else 1
-
-
+_sign = Convention.sign
 _term = Convention.term
 _binom = Convention.binom
 
@@ -608,7 +605,7 @@ def check_lemma(lemma_id: int, n: int, order: int) -> CheckReport:
                                status=BUILDER_ERROR)
         coeff = terms[index[t >= f] if isinstance(index, tuple) else index][n]
         if symbolic:
-            got = {k: Fraction(v) for k, v in coeff.terms.items()}
+            got = coeff.terms
             want = {w: v for w in _decomps(n, f, t)
                     if (v := rhs(n, f, t, *w))}
             if got != want:

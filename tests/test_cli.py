@@ -219,6 +219,35 @@ def test_series_substitution_grid_bytes_are_pinned(capsys):
     assert digest.hexdigest() == SUBSTITUTION_GRID_SHA256
 
 
+# sha256 of the stdout of `svtab series --order 24` under zero
+# substitutions, the cases the order-4 grid above covers only at low
+# order; taken while the term builders still divided by lines without a
+# constant term and read their blocks one order further per zero.
+ZERO_DUMP_SHA256 = {
+    ("straight", 0, 2, "--x 0"): "cd23bff2a13dc1297a8a6392d06ab53064c76751e33a5728c18f6c32e3ac45f9",
+    ("straight", 0, 2, "--y 0 --alpha 0"): "176df97cd89018194eebe94818d722bac05d13331beedb888f363f17ad77c1f7",
+    ("straight", 0, 2, "--x 0 --y 0 --alpha 1"): "3431eea32a549705169ad7a1d3112183f9b961bb323215f1beb4a0eebca8e571",
+    ("skew", 3, 1, "--x 0"): "32ff26cab6645bc54aeed51f3bed91af8a84177f11e690934a31c29207b814eb",
+    ("skew", 3, 1, "--y 0 --alpha 0"): "52605601536daa28dcf39a1d839299a3990344eb2b365db3cc78247436de2591",
+    ("skew", 3, 1, "--x 0 --y 0 --alpha 1"): "f845a246348046992a816978735e9cbc9bc5ab5a0f0a5813369fef1091b606ca",
+    ("skew", 2, 3, "--x 0"): "e7c86961187a541a458424046452f3dba316292596997f22fbb69a5a47aed873",
+    ("skew", 2, 3, "--y 0 --alpha 0"): "12179f026c6d7d9a60666894f1d11ff22a717b24d209a69bca96427c968df44a",
+    ("skew", 2, 3, "--x 0 --y 0 --alpha 1"): "83cfa7d193bfd7a7ff3549e52cb6949351b6d108e0c81287658a68dd08fbd33d",
+}
+
+
+def test_series_zero_substitution_dumps_at_order_24_are_pinned(capsys):
+    got = {}
+    for key in ZERO_DUMP_SHA256:
+        family, f, t, subs = key
+        frame = [] if family == "straight" else ["--f", str(f)]
+        code, out, err = run(capsys, "series", "--family", family, *frame,
+                             "--t", str(t), "--order", "24", *subs.split())
+        assert (code, err) == (0, ""), key
+        got[key] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == ZERO_DUMP_SHA256
+
+
 def test_series_negative_rational_value(capsys):
     # argparse alone reads -3/4 as an option, not as the value of --y
     frame = ["series", "--family", "straight", "--t", "1", "--order", "3",

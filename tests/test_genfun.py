@@ -21,7 +21,7 @@ from svtab.genfun import (
     straight_terms,
 )
 from svtab.paths import count_paths, weight_counts
-from svtab.series import ALPHA, ONE, X, Y, ZSeries, solve_M
+from svtab.series import ALPHA, ONE, X, Y, ZERO, ZSeries, solve_M
 
 
 ORDER = 7
@@ -62,9 +62,8 @@ def test_specialized_build_agrees_with_symbolic():
     # displayed term, whose sum gf_straight and gf_skew return, equals the
     # substituted symbolic one.  The harness reads only the symbolic
     # series, so this keeps the specialized pipeline checked against it.
-    # At x = 0 or y = 0 some divisors have valuation 1 or 2, and the top
-    # coefficient must still be right; where alpha = 0 as well some vanish,
-    # and every term over one of them is 0.
+    # At x = 0 or y = 0 the builders divide with x or y still a variable
+    # and put the zero into their finished terms.
     frames = [(f, t, order) for order in range(10) for f in range(4)
               for t in range(4) if abs(t - f) <= order]
     symbolic = {frame: frame_terms(*frame) for frame in frames}
@@ -357,9 +356,18 @@ class _Reference:
 def _divide(num, den):
     # A displayed denominator vanishes only where alpha = 0 and x or y is 0,
     # and every numerator over one carries a factor alpha: the term is 0.
+    # At x = 0 or y = 0 a denominator can lose its constant term; the
+    # power z^v that both sides then share cancels before a unit division,
+    # and the top v quotient coefficients, which the inputs leave
+    # undetermined, read 0.
     if den.is_zero() and num.is_zero():
         return num
-    return num.exact_divide(den)
+    v = next(i for i, c in enumerate(den.coeffs) if c)
+    assert not any(num.coeffs[:v]), (v, num)
+    low = num.order - v
+    quot = ZSeries(low, num.coeffs[v:]).exact_divide(
+        ZSeries(low, den.coeffs[v:]))
+    return ZSeries(num.order, quot.coeffs + (ZERO,) * v)
 
 
 def _term_outcome(build, *args):
@@ -385,8 +393,8 @@ def _cut_terms(ref, order, f, t):
 
 
 def test_terms_match_the_displayed_products():
-    # At x = 0 or y = 0 some denominators have valuation 1, so the builders
-    # and the reference divide one order further and cut back to order.
+    # At x = 0 or y = 0 some displayed denominators have valuation 1, so
+    # the reference divides one order further and cuts back to order.
     for subs in _TERM_SUBS:
         for order in range(12):
             ref = _Reference(order + (0 in subs[:2]), subs)
@@ -426,13 +434,13 @@ def test_m_equation_identities():
         one_minus_au2 = one - b.zm_pow[2].scale(a)
         for j in range(6):
             assert b.table_ms[j][0] * one_minus_au2 == b.zm_pow[j], (subs, j)
-        # a divisor of valuation v leaves the top v quotient coefficients
-        # unknown; each numerator carries alpha, as in the term builders
-        known = 9 - subs[:2].count(0)
+        # the line quotients need nonzero x and y; each numerator carries
+        # alpha, as in the term builders
+        if 0 in subs[:2]:
+            continue
         for c, k in ((a, 2), (a ** 3 * x, 5)):
             got = b.over_xu_yu(c, k) * (one + zm.scale(x)) * (one + zm.scale(y))
-            assert got.truncate(known) == \
-                b.zm_pow[k].scale(c).truncate(known), (subs, c, k)
+            assert got == b.zm_pow[k].scale(c), (subs, c, k)
         # over L (1 - alpha u^2) with L = 1 + w u, weights (w, alpha), and
         # with L = x + alpha u, weights (1, x), on the numerators of
         # skew-drop terms 3 and 5 at (f, t) = (2, 1), which L divides;
@@ -448,8 +456,7 @@ def test_m_equation_identities():
         for weights, line, den, pieces in cases:
             got = b.over_ms(weights, line, *pieces) * den * one_minus_au2
             want = b.combine(*((c, 0, b.table_y[k][j]) for c, k, j in pieces))
-            assert got.truncate(known) == want.truncate(known), \
-                (subs, weights, pieces)
+            assert got == want, (subs, weights, pieces)
 
 
 def test_every_term_divides_only_by_short_series(monkeypatch):
@@ -467,6 +474,25 @@ def test_every_term_divides_only_by_short_series(monkeypatch):
             sizes.clear()
             frame_terms(f, t, 10, *subs)
             assert sizes and max(sizes) <= 3, (f, t, subs)
+
+
+def test_every_divisor_is_a_unit(monkeypatch):
+    # Zeros go into the finished terms, so no divisor the term builders
+    # meet loses its constant term.
+    leads = []
+    divide = ZSeries.exact_divide
+
+    def recording(num, den):
+        leads.append(den[0])
+        return divide(num, den)
+    monkeypatch.setattr(ZSeries, "exact_divide", recording)
+    series_blocks.cache_clear()
+    for subs in itertools.product((None, 0, 1, -1), repeat=3):
+        for f in range(4):
+            for t in range(4):
+                leads.clear()
+                frame_terms(f, t, 6, *subs)
+                assert leads and all(leads), (f, t, subs)
 
 
 def test_table_entries_are_the_products():

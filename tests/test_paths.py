@@ -120,6 +120,11 @@ def test_path_record_contract():
             ColouredPath(bad, "")
         assert str(err.value) == \
             f"start_height must be a nonnegative integer, got {bad!r}"
+    # a step word that is not a str would not hash, encode or compare as one
+    for bad in (["U", "d"], ("U", "d"), None):
+        with pytest.raises(ValueError) as err:
+            ColouredPath(1, bad)
+        assert str(err.value) == f"steps must be a str, got {bad!r}"
 
 
 def test_enumeration_order_at_larger_n():

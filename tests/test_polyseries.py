@@ -303,13 +303,16 @@ def test_zseries_mismatched_orders():
         ZSeries.z(3) + ZSeries.z(4)
 
 
-def test_exact_divide_cancels_valuation():
+def test_exact_divide_rejects_non_units():
+    # a divisor without a constant term is refused even where it divides
+    # the numerator: the top quotient coefficients would be undetermined
     z = ZSeries.z(6)
     num = z * z * (ZSeries.one(6) + z)
-    got = num.exact_divide(z)
-    assert got == z * (ZSeries.one(6) + z)
-    assert num.valuation() == 2
-    assert ZSeries.zero(6).valuation() is None
+    for den in (z, z * z, z.scale(X) + z.shift(1), ZSeries.zero(6)):
+        with pytest.raises(NonExactDivision,
+                           match="the divisor's constant coefficient is 0"):
+            num.exact_divide(den)
+    assert num.exact_divide(ZSeries.one(6) + z) == z * z
 
 
 def test_exact_divide_rejects_lower_valuation():
@@ -332,19 +335,14 @@ def _schoolbook_product(a, b):
 
 def _schoolbook_divide(num, den):
     n = num.order
-    v = den.valuation()
-    if v is None:
-        raise NonExactDivision("division by the zero series")
-    for i in range(min(v, n + 1)):
-        if not num[i].is_zero():
-            raise NonExactDivision(
-                f"numerator has a z^{i} term below the denominator valuation {v}")
+    if den[0].is_zero():
+        raise NonExactDivision("the divisor's constant coefficient is 0")
     out = [MultiPoly.zero()] * (n + 1)
-    for k in range(n + 1 - v):
-        acc = num[v + k]
+    for k in range(n + 1):
+        acc = num[k]
         for j in range(k):
-            acc = acc - out[j] * den[v + k - j]
-        out[k] = acc.divexact(den[v])
+            acc = acc - out[j] * den[k - j]
+        out[k] = acc.divexact(den[0])
     return ZSeries(n, out)
 
 
@@ -369,10 +367,11 @@ def sparse_series(draw, order, valuation=0):
 @st.composite
 def division_cases(draw):
     order = draw(st.integers(0, 7))
+    # valuations 1 to 3 and the zero series are refused
     den = draw(sparse_series(order, valuation=draw(st.integers(0, 3))))
-    v = den.valuation()
+    v = next((i for i, c in enumerate(den.coeffs) if c), None)
     if v is not None:
-        # exact_divide divides by a one-term lowest coefficient only
+        # exact_divide divides by a one-term constant coefficient only
         coeffs = list(den.coeffs)
         coeffs[v] = draw(monomial_strategy())
         den = ZSeries(order, coeffs)
@@ -426,11 +425,11 @@ def test_exact_divide_failure_messages():
     z = ZSeries.z(3)
     one = ZSeries.one(3)
     cases = [
-        (one, ZSeries.zero(3), "division by the zero series"),
-        (one + z, z, "numerator has a z^0 term below the denominator "
-                     "valuation 1"),
+        (one, ZSeries.zero(3), "the divisor's constant coefficient is 0"),
+        (one + z, z, "the divisor's constant coefficient is 0"),
         ((z * z).scale(X + ONE), z.scale(Y),
-         "y does not divide x + 1 exactly"),
+         "the divisor's constant coefficient is 0"),
+        (one.scale(X + ONE), one.scale(Y), "y does not divide x + 1 exactly"),
     ]
     for num, den, message in cases:
         with pytest.raises(NonExactDivision) as info:
