@@ -193,14 +193,13 @@ def decode_path(text: str) -> ColouredPath:
     head, sep, body = text.partition(":")
     if not sep:
         raise ValueError(f"missing ':' in path encoding {text!r}")
-    try:
-        start = int(head)
-    except ValueError:
-        raise ValueError(f"bad start height in {text!r}") from None
+    # Only what encode_path writes: ASCII digits, no sign, no leading zero.
+    if not (head.isascii() and head.isdigit() and head == str(int(head))):
+        raise ValueError(f"bad start height in {text!r}")
     for ch in body:
         if ch not in "DUdu":
             raise ValueError(f"unknown step tag {ch!r} in {text!r}")
-    return ColouredPath(start, body)
+    return ColouredPath(int(head), body)
 
 
 def _closed_walk_weights(n: int, umber_on_axis: bool) -> Counter:

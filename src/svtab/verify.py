@@ -5,7 +5,9 @@ independent ways: brute-force tableau enumeration, brute-force path
 enumeration, coefficient extraction from the truncated generating
 functions, and the closed forms in ``formulas``.  The harness runs all
 layers that apply on a finite grid and records one ``CheckReport`` per
-parameter tuple.
+parameter tuple.  Each theorem family is one stream of reports, made one
+at a time; ``run_all`` hands each on as it is made, and
+``check_theorem`` is the list of one family's stream.
 
 A disagreement is data, not a crash.  The measured disagreement domains
 of the shipped closed forms are listed in ``documented_edge``; a
@@ -25,7 +27,7 @@ the cached symbolic terms that the theorem checks sum) and the right side.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -65,18 +67,11 @@ class CheckReport:
     status: str = AGREE
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "tableau": _json_value(self.tableau),
-            "path": _json_value(self.path),
-            "series": _json_value(self.series),
-            "formula": _json_value(self.formula),
-            "status": self.status,
-        }
+        return {f.name: _json_value(getattr(self, f.name))
+                for f in fields(self)}
 
 
-def _json_value(v: Value) -> Union[int, str, None]:
+def _json_value(v: object) -> object:
     if isinstance(v, Fraction):
         if v.denominator == 1:
             return int(v)
@@ -303,13 +298,17 @@ def check_theorem(check: str, max_n: int) -> list[CheckReport]:
     registry reads, built at order max(min(max_n, 12), 3) for every
     family; a coefficient below the truncation does not depend on the
     order.  A ValueError from the closed form marks the point
-    formula-domain-excluded.  Reports come back in canonical sorted order.
+    formula-domain-excluded.  The list holds the family's reports in
+    canonical sorted order, the same reports that run_all streams.
     """
     if check not in FAMILIES:
         raise ValueError(f"unknown check id {check!r}")
+    return list(_theorem_reports(check, max_n))
+
+
+def _theorem_reports(check: str, max_n: int) -> Iterator[CheckReport]:
     fam = FAMILIES[check]
     order = _series_order(min(max_n, SERIES_BOUND))
-    reports = []
     for n in range(fam.first_n, min(max_n, fam.top) + 1):
         # A grid visits each frame's params in one run, so the frame's
         # [z^n] map is summed from its cached symbolic terms and unpacked
@@ -332,9 +331,7 @@ def check_theorem(check: str, max_n: int) -> list[CheckReport]:
                 form, status = None, EXCLUDED
             else:
                 status = _statuses([tab, path, ser, form])
-            reports.append(CheckReport(check, params, tab, path, ser, form,
-                                       status))
-    return reports
+            yield CheckReport(check, params, tab, path, ser, form, status)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +588,6 @@ def check_lemma(lemma_id: int, n: int, order: int) -> CheckReport:
         raise ValueError(f"need order >= {_series_order(0)}, the top term "
                          f"valuation on the lemma grids, got order={order}")
     grid, index, reading, rhs = _LEMMAS[lemma_id]
-    symbolic = reading == _SYMBOLIC
     params: dict = {"lemma": lemma_id, "n": n}
     mismatches = []
     first_lhs = first_rhs = None
@@ -604,29 +600,25 @@ def check_lemma(lemma_id: int, n: int, order: int) -> CheckReport:
                                series=f"{_point_str(point)}: {exc}",
                                status=BUILDER_ERROR)
         coeff = terms[index[t >= f] if isinstance(index, tuple) else index][n]
-        if symbolic:
+        # Both sides as maps: by (c, d, e) where symbolic, under the one
+        # key () where the reading is an integer.
+        if reading == _SYMBOLIC:
             got = coeff.terms
             want = {w: v for w in _decomps(n, f, t)
                     if (v := rhs(n, f, t, *w))}
-            if got != want:
-                mismatches.append(dict(point))
-                if first_lhs is None:
-                    key0 = sorted(set(got) | set(want),
-                                  key=lambda k: (got.get(k, 0) == want.get(k, 0), k))[0]
-                    c, d, e = key0
-                    first_lhs = (f"{_point_str(point)} at c={c},d={d},e={e}: "
-                                 f"{got.get(key0, 0)}")
-                    first_rhs = f"{want.get(key0, 0)}"
         else:
             if reading == _D_ALPHA:
                 coeff = coeff.alpha_derivative()
-            got_i = coeff.substitute(x=1, y=1, alpha=1).constant_value()
-            want_i = rhs(n, f, t)
-            if got_i != want_i:
-                mismatches.append(dict(point))
-                if first_lhs is None:
-                    first_lhs = f"{_point_str(point)}: {got_i}"
-                    first_rhs = f"{want_i}"
+            got = {(): coeff.substitute(x=1, y=1, alpha=1).constant_value()}
+            want = {(): rhs(n, f, t)}
+        if got != want:
+            mismatches.append(dict(point))
+            if first_lhs is None:
+                key = min(k for k in got.keys() | want.keys()
+                          if got.get(k, 0) != want.get(k, 0))
+                at = " at c={},d={},e={}".format(*key) if key else ""
+                first_lhs = f"{_point_str(point)}{at}: {got.get(key, 0)}"
+                first_rhs = f"{want.get(key, 0)}"
     if not mismatches:
         return CheckReport(f"lemma{lemma_id}", params, status=AGREE)
     return CheckReport(f"lemma{lemma_id}", dict(params, mismatches=mismatches),
@@ -657,7 +649,7 @@ def _reports(max_n: int) -> Iterator[CheckReport]:
     if max_n < 1:
         return
     for check in THEOREM_IDS:
-        yield from check_theorem(check, max_n)
+        yield from _theorem_reports(check, max_n)
     # one series order for every layer, so the identity registry reads
     # the theorem checks' cached terms
     order = _series_order(min(max_n, SERIES_BOUND))
@@ -674,9 +666,9 @@ def run_all(max_n: int,
     Grid: every theorem family to its caps, the remark, the identity
     registry to min(max_n, 10), and the b-sum helper identity.  max_n = 0
     runs nothing.  Each report goes to sink (if given) as soon as it is
-    produced, in canonical order.  The summary's "ok" is True exactly
-    when nothing disagreed outside the documented edges and no builder
-    failed.
+    made, in canonical order; the "reports" list holds the same objects
+    in the same order.  The summary's "ok" is True exactly when nothing
+    disagreed outside the documented edges and no builder failed.
     """
     reports: list[CheckReport] = []
     counts = {AGREE: 0, DISAGREE: 0, EXCLUDED: 0, BUILDER_ERROR: 0}

@@ -153,6 +153,16 @@ def test_decode_rejects_malformed_text():
     for text, message in [
         ("UDU", "missing ':' in path encoding 'UDU'"),  # no start height
         ("x:UD", "bad start height in 'x:UD'"),
+        # heights that int() reads but encode_path never writes
+        ("+1:U", "bad start height in '+1:U'"),
+        (" 1:U", "bad start height in ' 1:U'"),
+        ("1 :U", "bad start height in '1 :U'"),
+        ("01:U", "bad start height in '01:U'"),
+        ("\u0661:U", "bad start height in '\u0661:U'"),
+        ("1_0:U", "bad start height in '1_0:U'"),
+        ("-0:U", "bad start height in '-0:U'"),
+        ("-1:U", "bad start height in '-1:U'"),
+        (":U", "bad start height in ':U'"),
         ("1:UQ", "unknown step tag 'Q' in '1:UQ'"),
         ("1:U\nD", "unknown step tag '\\n' in '1:U\\nD'"),
     ]:

@@ -212,6 +212,37 @@ def test_run_all_streams_reports_before_the_run_ends(monkeypatch):
     assert any(c.startswith("lemma") for c in checks)
 
 
+def test_run_all_hands_on_each_theorem_report_as_it_is_made(monkeypatch):
+    # One event list: a path-map request appends ("count", frame), the
+    # sink appends ("report", check).  thm6's first report must reach the
+    # sink before thm6 asks for its last path map.
+    events = []
+    real = verify._path_counter
+
+    def counted(*frame):
+        events.append(("count", frame))
+        return real(*frame)
+
+    monkeypatch.setattr(verify, "_path_counter", counted)
+    run_all(6, sink=lambda r: events.append(("report", r.check)))
+    family = verify.THEOREM_IDS.index("thm6")
+    previous = verify.THEOREM_IDS[family - 1]
+    reports = [(i, check) for i, (kind, check) in enumerate(events)
+               if kind == "report"]
+    start = max(i for i, check in reports if check == previous)
+    end = max(i for i, check in reports if check == "thm6")
+    first = min(i for i, check in reports if check == "thm6")
+    last_count = max(i for i in range(start, end) if events[i][0] == "count")
+    assert first < last_count
+
+
+def test_run_all_sink_sees_the_returned_reports_in_order():
+    seen = []
+    out = run_all(4, sink=seen.append)
+    assert len(seen) == len(out["reports"]) > 0
+    assert all(a is b for a, b in zip(seen, out["reports"]))
+
+
 def test_brute_force_layers_visit_every_object(monkeypatch):
     # Every path and tableau the oracles count is built and yielded, and
     # every tableau goes through the validating scan: the objects seen on
