@@ -7,6 +7,13 @@ horizontal d; the path's step word is these tags in entry order.  The
 path starts at height f and ends at height t.  The inverse scan opens a
 new cell per up/down step and appends horizontal entries to the most
 recently opened cell of the matching row.
+
+The forward scan checks the tableau in the same pass that writes the
+word, so a valid tableau is read once; shapes.is_valid runs only on a
+tableau the scan refuses, to raise the error that names its fault.
+tableau_weight_counts scans every tableau rather than reading its weight
+off the cells: that shortcut (ROADMAP item 2) waits on the perfbench
+check that counts the scans.
 """
 
 from __future__ import annotations
@@ -17,22 +24,64 @@ from svtab.paths import ColouredPath, is_admissible, weight
 from svtab.shapes import (SetValuedTableau, TwoRowShape, enumerate_tableaux,
                           is_valid, shape_range)
 
-# (minimum, every other entry) of a row-1 and of a row-2 cell
-_ROW_STEPS = ("Uu", "Dd")
+
+def _scan(tab: SetValuedTableau) -> str | None:
+    # The step word of a valid tableau, checked in the same pass that
+    # writes it; None, or an exception, where the tableau breaks a rule.
+    # In reading order each cell's minimum must lie above the maximum of
+    # the cell before it in its row (above 0 for a row's first cell) and,
+    # in row 2, above the maximum of the row-1 cell in its column.  An
+    # entry above n fails its store with IndexError, an empty cell fails
+    # min(); a slot left unwritten fails the join, and the sizes summing
+    # to n then rule out an entry in two cells.  These are is_valid's
+    # structure rules and cover pairs.
+    shape, content, n = tab.shape, tab.content, tab.n
+    r1 = shape.row1_cells
+    if len(content) != shape.cell_count:
+        return None
+    steps = [None] * n
+    # the maximum of the row-1 cell above each row-2 cell, 0 where the
+    # first f row-2 cells have none
+    above = [0] * shape.f
+    top = 0
+    for s in content[:r1]:
+        low = min(s)
+        if low <= top:
+            return None
+        for entry in s:
+            steps[entry - 1] = "u"
+        steps[low - 1] = "U"
+        top = max(s)
+        above.append(top)
+    top = 0
+    for s, cap in zip(content[r1:], above):
+        low = min(s)
+        if low <= top or low <= cap:
+            return None
+        for entry in s:
+            steps[entry - 1] = "d"
+        steps[low - 1] = "D"
+        top = max(s)
+    word = "".join(steps)
+    return word if sum(map(len, content)) == n else None
 
 
 def tableau_to_path(tab: SetValuedTableau) -> ColouredPath:
-    if not is_valid(tab):
-        raise ValueError("tableau violates the ordering condition")
-    r1 = tab.shape.row1_cells
-    # every slot is overwritten: the cells partition 1..n (checked above)
-    steps = ["U"] * tab.n
-    for idx, s in enumerate(tab.content):
-        opener, other = _ROW_STEPS[idx >= r1]
-        for entry in s:
-            steps[entry - 1] = other
-        steps[min(s) - 1] = opener
-    return ColouredPath(tab.shape.f, "".join(steps))
+    fault = None
+    try:
+        word = _scan(tab)
+    except Exception as exc:  # is_valid below decides what is raised
+        word, fault = None, exc
+    if word is None:
+        # only a faulty tableau gets here: is_valid raises on a structural
+        # fault and returns False on an ordering one.  A tableau it passes
+        # holds an entry that equals an int but is none (2.0, say), whose
+        # store in the scan raised TypeError.
+        if not is_valid(tab):
+            raise ValueError("tableau violates the ordering condition")
+        raise fault
+    # the shape checked f when it was built
+    return ColouredPath._of(tab.shape.f, word)
 
 
 def path_to_tableau(path: ColouredPath) -> SetValuedTableau:
@@ -68,12 +117,12 @@ def tableau_weight_counts(n: int, f: int, t: int) -> Counter:
     the weight of its path, so it is the tableau-side twin of
     paths.weight_counts.
     """
-    # Every tableau goes through the validating tableau_to_path, not a
-    # cheaper read of its weight: the traced verify_grid workload
-    # (perfbench/test_perfbench.py) and
+    # Every tableau goes through tableau_to_path, whose scan checks the
+    # tableau as it writes the word, not a cheaper read of its weight: the
+    # traced verify_grid workload (perfbench/test_perfbench.py) and
     # tests/test_verify.py::test_brute_force_layers_visit_every_object
     # count the scans.  Reading the weight straight off the tableau is
-    # ROADMAP item 2, which has to change those checks with it.
+    # ROADMAP item 2, which waits on the perfbench check.
     return Counter(weight(tableau_to_path(tab))
                    for shape in shape_range(n, f, t)
                    for tab in enumerate_tableaux(shape, n))

@@ -27,12 +27,15 @@ from functools import lru_cache
 from typing import Iterator
 
 
-# fills a frozen record's fields, as the generated __init__ would
+# makes a record and fills its frozen fields, as the generated __init__
+# would
+_new = object.__new__
 _setattr = object.__setattr__
 
 
 def _check_count(name: str, value) -> None:
-    if not isinstance(value, int) or value < 0:
+    # a bool is an int, but True would encode as "True:" and not decode
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
@@ -50,6 +53,15 @@ class ColouredPath:
             raise ValueError(f"steps must be a str, got {steps!r}")
         _setattr(self, "start_height", start_height)
         _setattr(self, "steps", steps)
+
+    @classmethod
+    def _of(cls, start_height: int, steps: str) -> ColouredPath:
+        # the record without the checks, for callers whose start height
+        # and word have already passed them
+        path = _new(cls)
+        _setattr(path, "start_height", start_height)
+        _setattr(path, "steps", steps)
+        return path
 
     @property
     def end_height(self) -> int:
@@ -123,8 +135,9 @@ def enumerate_paths(n: int, f: int, t: int) -> Iterator[ColouredPath]:
     """
     for name, value in (("n", n), ("f", f), ("t", t)):
         _check_count(name, value)
+    of = ColouredPath._of  # f passed above, and every word is a str
     for word in _walk(n, f, t, False, False, False):
-        yield ColouredPath(f, word)
+        yield of(f, word)
 
 
 # The last min(n, _TAIL) steps of every word come from the cached tail

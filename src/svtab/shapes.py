@@ -19,8 +19,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-# fills a frozen record's fields, as the generated __init__ would
+# makes a record and fills its frozen fields, as the generated __init__
+# would
+_new = object.__new__
 _setattr = object.__setattr__
+
+
+def _is_int(value) -> bool:
+    # True and False are ints, but no count or size
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_size(n) -> None:
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -39,7 +51,7 @@ class TwoRowShape:
     def __post_init__(self):
         for name in ("e", "t", "f"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if not _is_int(v) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
         if self.f > self.e + self.t:
             raise ValueError(
@@ -80,11 +92,20 @@ class SetValuedTableau:
     def __init__(self, shape: TwoRowShape, content, n: int) -> None:
         # written out rather than generated with a __post_init__, so a
         # tableau costs one check and three stores
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
+        _check_size(n)
         _setattr(self, "shape", shape)
         _setattr(self, "content", tuple(map(frozenset, content)))
         _setattr(self, "n", n)
+
+    @classmethod
+    def _of(cls, shape: TwoRowShape, content, n: int) -> SetValuedTableau:
+        # the record without the check of n, for callers whose n has
+        # already passed it; the cells are still frozen
+        tab = _new(cls)
+        _setattr(tab, "shape", shape)
+        _setattr(tab, "content", tuple(map(frozenset, content)))
+        _setattr(tab, "n", n)
+        return tab
 
     def row_entry_counts(self) -> tuple[int, int]:
         r1 = sum(len(s) for s in self.content[:self.shape.row1_cells])
@@ -162,8 +183,7 @@ def enumerate_tableaux(shape: TwoRowShape,
     The stream is ordered lexicographically by the cell-assignment vector
     (the cell index of entry 1, then of entry 2, and so on).
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_size(n)
     k = shape.cell_count
     if k == 0 or n < k:
         return
@@ -183,6 +203,7 @@ def enumerate_tableaux(shape: TwoRowShape,
     empty = k
     placed = [0] * n
     entry, cell = 1, 0
+    of = SetValuedTableau._of  # n passed above
     while True:
         # a cell stops accepting entries once any later cell has opened,
         # and the entries left must still fill every empty cell
@@ -200,7 +221,7 @@ def enumerate_tableaux(shape: TwoRowShape,
                 # the last entry closes a tableau; nothing below it reads
                 # the bookkeeping, so only the cell list is touched
                 contents[cell].append(entry)
-                yield SetValuedTableau(shape, contents, n)
+                yield of(shape, contents, n)
                 contents[cell].pop()
                 cell += 1
                 continue

@@ -1,13 +1,17 @@
 """Tests for the tableau/path correspondence."""
 
+import dataclasses
+import random
 from collections import Counter
+from itertools import islice
 
 import pytest
 
+from svtab import bijection
 from svtab.bijection import (path_to_tableau, tableau_to_path,
                              tableau_weight_counts)
-from svtab.paths import (decode_path, encode_path, enumerate_paths, weight,
-                         weight_counts)
+from svtab.paths import (ColouredPath, decode_path, encode_path,
+                         enumerate_paths, weight, weight_counts)
 from svtab.shapes import SetValuedTableau, TwoRowShape, enumerate_tableaux, is_valid
 
 
@@ -106,11 +110,151 @@ def test_inadmissible_path_is_rejected():
     ({2}, {3}, {1}, {4, 5}),      # column 1 has 2 above 1
 ], ids=["overlap", "missing-entry", "empty-cell", "cell-count",
         "row-order", "column-order"])
-def test_malformed_tableau_is_rejected(cells):
-    # shape (2, 2) with entries 1..5; ({1}, {2, 3}, {4}, {5}) is valid
+def test_malformed_tableau_is_rejected(cells, monkeypatch):
+    # shape (2, 2) with entries 1..5; ({1}, {2, 3}, {4}, {5}) is valid.
+    # The scan checks the tableau itself and asks is_valid only to name
+    # a fault it has found.
+    calls = _count_is_valid(monkeypatch)
     assert tableau_to_path(build(2, 0, 0, 5, {1}, {2, 3}, {4}, {5}))
+    assert calls == []
     with pytest.raises(ValueError):
         tableau_to_path(build(2, 0, 0, 5, *cells))
+    assert len(calls) == 1
+
+
+def _count_is_valid(monkeypatch):
+    calls = []
+    real = bijection.is_valid
+
+    def counted(tab):
+        calls.append(tab)
+        return real(tab)
+    monkeypatch.setattr(bijection, "is_valid", counted)
+    return calls
+
+
+def test_valid_tableaux_skip_is_valid(monkeypatch):
+    calls = _count_is_valid(monkeypatch)
+    assert sum(tableau_weight_counts(7, 1, 0).values()) > 0
+    assert calls == []
+
+
+def _two_pass_reference(tab):
+    # is_valid first, then a scan that trusts the cells to partition 1..n
+    if not is_valid(tab):
+        raise ValueError("tableau violates the ordering condition")
+    r1 = tab.shape.row1_cells
+    steps = ["U"] * tab.n
+    for idx, s in enumerate(tab.content):
+        opener, other = ("Uu", "Dd")[idx >= r1]
+        for entry in s:
+            steps[entry - 1] = other
+        steps[min(s) - 1] = opener
+    return ColouredPath(tab.shape.f, "".join(steps))
+
+
+def _outcome(fn, tab):
+    try:
+        return fn(tab)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _mutate(rng, cells, n):
+    # one fault of each kind the structure and ordering rules name
+    kind = rng.randrange(7)
+    full = [i for i, c in enumerate(cells) if c]
+    if kind == 0 and len(full) > 0 and len(cells) > 1:    # overlap
+        i = rng.choice(full)
+        j = rng.choice([j for j in range(len(cells)) if j != i])
+        cells[j].add(rng.choice(sorted(cells[i])))
+    elif kind == 1 and full:                               # missing entry
+        cells[rng.choice(full)].discard(rng.randint(1, n))
+    elif kind == 2 and cells:                              # the entry n + 1
+        rng.choice(cells).add(n + 1)
+    elif kind == 3 and cells:                              # an empty cell
+        cells[rng.randrange(len(cells))] = set()
+    elif kind == 4:                                        # cell count
+        if cells and rng.random() < 0.5:
+            cells.pop(rng.randrange(len(cells)))
+        else:
+            cells.insert(rng.randint(0, len(cells)), {n + 1})
+    elif kind == 5 and len(full) > 1:                      # order: swap
+        i, j = rng.sample(full, 2)
+        a, b = rng.choice(sorted(cells[i])), rng.choice(sorted(cells[j]))
+        cells[i].symmetric_difference_update({a, b})
+        cells[j].symmetric_difference_update({a, b})
+    return cells
+
+
+def _fillings(rng):
+    # every shape with e, t <= 3 and f <= e + t, n from its cell count
+    # minus 1 to plus 4: valid tableaux, some of them broken by one
+    # fault, and fillings that put each entry in a random cell
+    for e in range(4):
+        for t in range(4):
+            for f in range(e + t + 1):
+                shape = TwoRowShape(e, t, f)
+                k = shape.cell_count
+                for n in range(max(1, k - 1), k + 5):
+                    valid = list(islice(enumerate_tableaux(shape, n), 200))
+                    for _ in range(24):
+                        if valid and rng.random() < 0.5:
+                            cells = [set(c) for c in rng.choice(valid).content]
+                        else:
+                            cells = [set() for _ in range(k)]
+                            for entry in range(1, n + 1):
+                                if k:
+                                    cells[rng.randrange(k)].add(entry)
+                        if rng.random() < 0.5:
+                            cells = _mutate(rng, cells, n)
+                        yield SetValuedTableau(shape, cells, n)
+
+
+def test_scan_refuses_what_is_valid_refuses():
+    rng = random.Random(27)
+    accepted = refused = 0
+    for tab in _fillings(rng):
+        got = _outcome(tableau_to_path, tab)
+        assert got == _outcome(_two_pass_reference, tab), tab
+        if isinstance(got, ColouredPath):
+            accepted += 1
+            assert path_to_tableau(got) == tab
+        else:
+            refused += 1
+            assert got[0] is ValueError
+    assert accepted > 1000 and refused > 1000
+    # an entry that equals an int but is none passes is_valid and still
+    # fails the scan with the same TypeError
+    tab = build(2, 0, 0, 5, {1}, {2.0, 3}, {4}, {5})
+    assert is_valid(tab)
+    got = _outcome(tableau_to_path, tab)
+    assert got == _outcome(_two_pass_reference, tab)
+    assert got == (TypeError, "list indices must be integers or slices, "
+                   "not float")
+
+
+def test_oracle_records_match_the_constructors():
+    # records built past the constructors' checks compare, hash, print
+    # and freeze as the constructed ones
+    def same(a, b):
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert vars(a) == vars(b)
+
+    for p in enumerate_paths(6, 1, 0):
+        same(p, ColouredPath(1, p.steps))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.steps = ""
+    shape = TwoRowShape(2, 1, 1)
+    for tab in enumerate_tableaux(shape, 6):
+        assert all(type(cell) is frozenset for cell in tab.content)
+        same(tab, SetValuedTableau(shape, [sorted(c) for c in tab.content], 6))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tab.n = 7
+        p = tableau_to_path(tab)
+        same(p, ColouredPath(shape.f, p.steps))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.start_height = 0
 
 
 def test_empty_path_has_no_image():

@@ -115,7 +115,8 @@ def test_path_record_contract():
         p.steps = ""
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.start_height = 0
-    for bad in (-1, 1.0, "1"):
+    # a bool is refused: True would encode as "True:", which no decode reads
+    for bad in (-1, 1.0, "1", True, False):
         with pytest.raises(ValueError) as err:
             ColouredPath(bad, "")
         assert str(err.value) == \
@@ -238,7 +239,7 @@ def test_closed_walks_equal_filtered_step_words():
     no_axis_umber_weight_counts,
 ], ids=["enumerate_paths", "count_paths", "weight_counts",
         "unconstrained_weight_counts", "no_axis_umber_weight_counts"])
-@pytest.mark.parametrize("bad", [2.5, 2.0, -1, "2"])
+@pytest.mark.parametrize("bad", [2.5, 2.0, -1, "2", True, False])
 def test_path_oracles_reject_a_bad_length(count, bad):
     with pytest.raises(ValueError) as err:
         count(bad)
@@ -251,6 +252,8 @@ def test_path_oracles_reject_a_bad_length(count, bad):
     ((3, 0, "1"), "t", "1"),
     ((3, 1.5, 0), "f", 1.5),
     ((3, "1", 0), "f", "1"),
+    ((3, 0, True), "t", True),
+    ((3, False, 0), "f", False),
 ])
 def test_enumerate_paths_rejects_a_bad_height(frame, name, bad):
     # rejected before the search, so the tail table gains no entry

@@ -33,6 +33,13 @@ def test_shape_rejects_negative_parameters():
         TwoRowShape(e=0, t=-2)
     with pytest.raises(ValueError):
         TwoRowShape(e=1, t=0, f=-1)
+    # a bool is an int, but no length
+    for args, name, bad in [((True, False), "e", True), ((1, False), "t", False),
+                            ((1, 1, True), "f", True)]:
+        with pytest.raises(ValueError) as err:
+            TwoRowShape(*args)
+        assert str(err.value) == \
+            f"{name} must be a nonnegative integer, got {bad!r}"
 
 
 def test_shape_rejects_overlong_removal():
@@ -186,9 +193,12 @@ def test_tableau_record_contract():
         tab.n = 5
     with pytest.raises(dataclasses.FrozenInstanceError):
         tab.content = ()
-    for bad in (0, -3, 2.0):
+    for bad in (0, -3, 2.0, True, False):
         with pytest.raises(ValueError) as err:
             SetValuedTableau(shape, [[1], [2]], bad)
+        assert str(err.value) == f"n must be a positive integer, got {bad!r}"
+        with pytest.raises(ValueError) as err:
+            list(enumerate_tableaux(TwoRowShape(1, 0), bad))
         assert str(err.value) == f"n must be a positive integer, got {bad!r}"
 
 
