@@ -29,17 +29,20 @@ def _scan(tab: SetValuedTableau) -> str | None:
     # The step word of a valid tableau, checked in the same pass that
     # writes it; None, or an exception, where the tableau breaks a rule.
     # In reading order each cell's minimum must lie above the maximum of
-    # the cell before it in its row (above 0 for a row's first cell) and,
-    # in row 2, above the maximum of the row-1 cell in its column.  An
-    # entry above n fails its store with IndexError, an empty cell fails
-    # min(); a slot left unwritten fails the join, and the sizes summing
-    # to n then rule out an entry in two cells.  These are is_valid's
-    # structure rules and cover pairs.
+    # the cell before it in its row (above 0 for a row's first cell, which
+    # is what refuses an entry of 0 or below) and, in row 2, above the
+    # maximum of the row-1 cell in its column.  Slot i of steps holds the
+    # tag of entry i, slot 0 the empty prefix: an entry above n fails its
+    # store with IndexError, an empty cell fails min(), a slot left
+    # unwritten fails the join, and the sizes summing to n then rule out
+    # an entry in two cells.  These are is_valid's structure rules and
+    # cover pairs.
     shape, content, n = tab.shape, tab.content, tab.n
     r1 = shape.row1_cells
     if len(content) != shape.cell_count:
         return None
-    steps = [None] * n
+    steps = [None] * (n + 1)
+    steps[0] = ""
     # the maximum of the row-1 cell above each row-2 cell, 0 where the
     # first f row-2 cells have none
     above = [0] * shape.f
@@ -49,8 +52,8 @@ def _scan(tab: SetValuedTableau) -> str | None:
         if low <= top:
             return None
         for entry in s:
-            steps[entry - 1] = "u"
-        steps[low - 1] = "U"
+            steps[entry] = "u"
+        steps[low] = "U"
         top = max(s)
         above.append(top)
     top = 0
@@ -59,29 +62,27 @@ def _scan(tab: SetValuedTableau) -> str | None:
         if low <= top or low <= cap:
             return None
         for entry in s:
-            steps[entry - 1] = "d"
-        steps[low - 1] = "D"
+            steps[entry] = "d"
+        steps[low] = "D"
         top = max(s)
     word = "".join(steps)
     return word if sum(map(len, content)) == n else None
 
 
 def tableau_to_path(tab: SetValuedTableau) -> ColouredPath:
-    fault = None
     try:
         word = _scan(tab)
-    except Exception as exc:  # is_valid below decides what is raised
-        word, fault = None, exc
+    except Exception:  # is_valid below decides what is raised
+        word = None
     if word is None:
         # only a faulty tableau gets here: is_valid raises on a structural
         # fault and returns False on an ordering one.  A tableau it passes
-        # holds an entry that equals an int but is none (2.0, say), whose
-        # store in the scan raised TypeError.
+        # holds an entry that equals an int but is none (2.0, say), and
+        # the scan, run again, raises the TypeError of its store.
         if not is_valid(tab):
             raise ValueError("tableau violates the ordering condition")
-        raise fault
-    # the shape checked f when it was built
-    return ColouredPath._of(tab.shape.f, word)
+        word = _scan(tab)
+    return ColouredPath(tab.shape.f, word)
 
 
 def path_to_tableau(path: ColouredPath) -> SetValuedTableau:

@@ -27,15 +27,14 @@ from functools import lru_cache
 from typing import Iterator
 
 
-# makes a record and fills its frozen fields, as the generated __init__
-# would
-_new = object.__new__
-_setattr = object.__setattr__
+def _is_int(value) -> bool:
+    # True and False are ints, but no count or size: a path from height
+    # True would encode as "True:..." and not decode
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_count(name: str, value) -> None:
-    # a bool is an int, but True would encode as "True:" and not decode
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+    if not _is_int(value) or value < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
@@ -46,22 +45,18 @@ class ColouredPath:
 
     def __init__(self, start_height: int, steps: str) -> None:
         # written out rather than generated with a __post_init__, so a
-        # path costs two checks and two stores; a word of another type
-        # would not hash, encode or compare as its str
-        _check_count("start_height", start_height)
+        # path costs two checks and two stores: a plain int height passes
+        # inline and any other goes to _check_count, and the fields go
+        # straight into the instance dict, where the frozen __setattr__
+        # would put them.  A word of another type would not hash, encode
+        # or compare as its str.
+        if type(start_height) is not int or start_height < 0:
+            _check_count("start_height", start_height)
         if not isinstance(steps, str):
             raise ValueError(f"steps must be a str, got {steps!r}")
-        _setattr(self, "start_height", start_height)
-        _setattr(self, "steps", steps)
-
-    @classmethod
-    def _of(cls, start_height: int, steps: str) -> ColouredPath:
-        # the record without the checks, for callers whose start height
-        # and word have already passed them
-        path = _new(cls)
-        _setattr(path, "start_height", start_height)
-        _setattr(path, "steps", steps)
-        return path
+        fields = self.__dict__
+        fields["start_height"] = start_height
+        fields["steps"] = steps
 
     @property
     def end_height(self) -> int:
@@ -135,9 +130,8 @@ def enumerate_paths(n: int, f: int, t: int) -> Iterator[ColouredPath]:
     """
     for name, value in (("n", n), ("f", f), ("t", t)):
         _check_count(name, value)
-    of = ColouredPath._of  # f passed above, and every word is a str
     for word in _walk(n, f, t, False, False, False):
-        yield of(f, word)
+        yield ColouredPath(f, word)
 
 
 # The last min(n, _TAIL) steps of every word come from the cached tail

@@ -19,15 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-# makes a record and fills its frozen fields, as the generated __init__
-# would
-_new = object.__new__
-_setattr = object.__setattr__
-
-
-def _is_int(value) -> bool:
-    # True and False are ints, but no count or size
-    return isinstance(value, int) and not isinstance(value, bool)
+from svtab.paths import _check_count, _is_int
 
 
 def _check_size(n) -> None:
@@ -50,9 +42,7 @@ class TwoRowShape:
 
     def __post_init__(self):
         for name in ("e", "t", "f"):
-            v = getattr(self, name)
-            if not _is_int(v) or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+            _check_count(name, getattr(self, name))
         if self.f > self.e + self.t:
             raise ValueError(
                 f"f={self.f} exceeds first-row length e+t={self.e + self.t}")
@@ -91,21 +81,14 @@ class SetValuedTableau:
 
     def __init__(self, shape: TwoRowShape, content, n: int) -> None:
         # written out rather than generated with a __post_init__, so a
-        # tableau costs one check and three stores
-        _check_size(n)
-        _setattr(self, "shape", shape)
-        _setattr(self, "content", tuple(map(frozenset, content)))
-        _setattr(self, "n", n)
-
-    @classmethod
-    def _of(cls, shape: TwoRowShape, content, n: int) -> SetValuedTableau:
-        # the record without the check of n, for callers whose n has
-        # already passed it; the cells are still frozen
-        tab = _new(cls)
-        _setattr(tab, "shape", shape)
-        _setattr(tab, "content", tuple(map(frozenset, content)))
-        _setattr(tab, "n", n)
-        return tab
+        # tableau costs one check and three stores, made as in
+        # ColouredPath.__init__
+        if type(n) is not int or n < 1:
+            _check_size(n)
+        fields = self.__dict__
+        fields["shape"] = shape
+        fields["content"] = tuple(map(frozenset, content))
+        fields["n"] = n
 
     def row_entry_counts(self) -> tuple[int, int]:
         r1 = sum(len(s) for s in self.content[:self.shape.row1_cells])
@@ -203,7 +186,6 @@ def enumerate_tableaux(shape: TwoRowShape,
     empty = k
     placed = [0] * n
     entry, cell = 1, 0
-    of = SetValuedTableau._of  # n passed above
     while True:
         # a cell stops accepting entries once any later cell has opened,
         # and the entries left must still fill every empty cell
@@ -221,7 +203,7 @@ def enumerate_tableaux(shape: TwoRowShape,
                 # the last entry closes a tableau; nothing below it reads
                 # the bookkeeping, so only the cell list is touched
                 contents[cell].append(entry)
-                yield of(shape, contents, n)
+                yield SetValuedTableau(shape, contents, n)
                 contents[cell].pop()
                 cell += 1
                 continue

@@ -235,8 +235,9 @@ def test_scan_refuses_what_is_valid_refuses():
 
 
 def test_oracle_records_match_the_constructors():
-    # records built past the constructors' checks compare, hash, print
-    # and freeze as the constructed ones
+    # the oracles' records, whose fields go straight into the instance
+    # dict, compare, hash, print and freeze as records built from copies
+    # of their fields
     def same(a, b):
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert vars(a) == vars(b)
