@@ -9,11 +9,10 @@ new cell per up/down step and appends horizontal entries to the most
 recently opened cell of the matching row.
 
 The forward scan checks the tableau in the same pass that writes the
-word, so a valid tableau is read once; shapes.is_valid runs only on a
-tableau the scan refuses, to raise the error that names its fault.
-tableau_weight_counts scans every tableau rather than reading its weight
-off the cells: that shortcut (ROADMAP item 2) waits on the perfbench
-check that counts the scans.
+word, so a valid tableau is read once; shapes.is_valid, which refuses
+exactly what the scan refuses, runs only on a refused tableau, to raise
+the error that names its fault.  Why tableau_weight_counts scans every
+tableau is in its docstring.
 """
 
 from __future__ import annotations
@@ -33,10 +32,10 @@ def _scan(tab: SetValuedTableau) -> str | None:
     # is what refuses an entry of 0 or below) and, in row 2, above the
     # maximum of the row-1 cell in its column.  Slot i of steps holds the
     # tag of entry i, slot 0 the empty prefix: an entry above n fails its
-    # store with IndexError, an empty cell fails min(), a slot left
-    # unwritten fails the join, and the sizes summing to n then rule out
-    # an entry in two cells.  These are is_valid's structure rules and
-    # cover pairs.
+    # store with IndexError and one that is no int (2.0) with TypeError,
+    # an empty cell fails min(), a slot left unwritten fails the join, and
+    # the sizes summing to n then rule out an entry in two cells.  These
+    # are is_valid's structure rules and cover pairs.
     shape, content, n = tab.shape, tab.content, tab.n
     r1 = shape.row1_cells
     if len(content) != shape.cell_count:
@@ -75,13 +74,10 @@ def tableau_to_path(tab: SetValuedTableau) -> ColouredPath:
     except Exception:  # is_valid below decides what is raised
         word = None
     if word is None:
-        # only a faulty tableau gets here: is_valid raises on a structural
-        # fault and returns False on an ordering one.  A tableau it passes
-        # holds an entry that equals an int but is none (2.0, say), and
-        # the scan, run again, raises the TypeError of its store.
-        if not is_valid(tab):
-            raise ValueError("tableau violates the ordering condition")
-        word = _scan(tab)
+        # is_valid raises on a structural fault and returns False on an
+        # ordering one
+        is_valid(tab)
+        raise ValueError("tableau violates the ordering condition")
     return ColouredPath(tab.shape.f, word)
 
 
@@ -116,14 +112,14 @@ def tableau_weight_counts(n: int, f: int, t: int) -> Counter:
 
     Sums over every shape of shapes.shape_range and keys each tableau by
     the weight of its path, so it is the tableau-side twin of
-    paths.weight_counts.
+    paths.weight_counts.  Every tableau goes through tableau_to_path,
+    whose scan checks it as it writes the word, rather than through a
+    cheaper read of its weight off the cells: the traced verify_grid
+    workload (perfbench's bijection.calls) and
+    tests/test_verify.py::test_brute_force_layers_visit_every_object
+    count the scans.  Reading the weight straight off the tableau is
+    ROADMAP item 2, which waits on that perfbench check.
     """
-    # Every tableau goes through tableau_to_path, whose scan checks the
-    # tableau as it writes the word, not a cheaper read of its weight: the
-    # traced verify_grid workload (perfbench/test_perfbench.py) and
-    # tests/test_verify.py::test_brute_force_layers_visit_every_object
-    # count the scans.  Reading the weight straight off the tableau is
-    # ROADMAP item 2, which waits on the perfbench check.
     return Counter(weight(tableau_to_path(tab))
                    for shape in shape_range(n, f, t)
                    for tab in enumerate_tableaux(shape, n))

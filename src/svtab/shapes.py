@@ -108,25 +108,22 @@ def _check_structure(tab: SetValuedTableau) -> None:
         if not seen.isdisjoint(s):
             raise ValueError("cell sets must be pairwise disjoint")
         seen |= s
-    if seen != set(range(1, tab.n + 1)):
+    # an entry must be an int: 2.0 equals 2 but is none; True is 1
+    if seen != set(range(1, tab.n + 1)) or not all(
+            isinstance(entry, int) for entry in seen):
         raise ValueError(f"entries must be exactly 1..{tab.n}")
 
 
 @lru_cache(maxsize=None)
 def _cover_pairs(shape: TwoRowShape) -> tuple[tuple[int, int], ...]:
     # index pairs (i, j) such that cell i must be entirely smaller than cell j,
-    # cached per shape; right-adjacency within each row plus shared columns
-    # between the rows generate the whole weakly-right-and-below order by
-    # transitivity.
-    r1 = shape.row1_cells
-    pairs = [(i, i + 1) for i in range(r1 - 1)]
-    pairs += [(r1 + i, r1 + i + 1) for i in range(shape.row2_cells - 1)]
-    # row-1 column f+1+i sits above row-2 column f+1+i when the latter exists
-    for i in range(r1):
-        col = shape.f + 1 + i
-        if col <= shape.e:
-            pairs.append((i, r1 + col - 1))
-    return tuple(pairs)
+    # cached per shape: each cell after the cell just left of it and the
+    # cell just above it, which generate the whole weakly-right-and-below
+    # order by transitivity.
+    where = {cell: j for j, cell in enumerate(cells(shape))}
+    return tuple((where[before], j) for (row, col), j in where.items()
+                 for before in ((row, col - 1), (row - 1, col))
+                 if before in where)
 
 
 def is_valid(tab: SetValuedTableau) -> bool:
@@ -239,6 +236,9 @@ def count_tableaux(shape: TwoRowShape, n: int) -> int:
 
 def shape_range(n: int, f: int, t: int) -> Iterator[TwoRowShape]:
     """Every shape (e+t, e)/(f, 0) with at least one and at most n cells."""
-    for e in range(max(0, f - t), (n + f - t) // 2 + 1):
-        if 2 * e + t - f >= 1:
-            yield TwoRowShape(e, t, f)
+    _check_size(n)
+    _check_count("f", f)
+    _check_count("t", t)
+    return (TwoRowShape(e, t, f)
+            for e in range(max(0, f - t), (n + f - t) // 2 + 1)
+            if 2 * e + t - f >= 1)

@@ -158,12 +158,7 @@ def _path_counter(n: int, f: int, t: int) -> Counter:
 
 @lru_cache(maxsize=None)
 def _tableau_counter(n: int, f: int, t: int) -> Counter:
-    # Through the bijection, so every tableau is scanned by
-    # tableau_to_path, which checks the tableau in the same pass: the
-    # traced verify_grid workload needs a nonzero bijection.calls and
-    # test_brute_force_layers_visit_every_object counts one scan per
-    # tableau.  Reading the weight off the tableau (ROADMAP item 2) waits
-    # on that perfbench check.
+    # through the bijection; bijection.tableau_weight_counts says why
     return bijection.tableau_weight_counts(n, f, t)
 
 

@@ -108,13 +108,14 @@ def test_inadmissible_path_is_rejected():
     ({1}, {2, 3}, {4, 5}),        # three cells for a four-cell shape
     ({2}, {1, 3}, {4}, {5}),      # row 1 reads 2 before 1
     ({2}, {3}, {1}, {4, 5}),      # column 1 has 2 above 1
+    ({1}, {2.0, 3}, {4}, {5}),    # 2.0 equals the entry 2 but is no int
 ], ids=["overlap", "missing-entry", "empty-cell", "cell-count",
-        "row-order", "column-order"])
+        "row-order", "column-order", "float-entry"])
 def test_malformed_tableau_is_rejected(cells, monkeypatch):
     # shape (2, 2) with entries 1..5; ({1}, {2, 3}, {4}, {5}) is valid.
     # The scan checks the tableau itself and asks is_valid only to name
     # a fault it has found.
-    calls = _count_is_valid(monkeypatch)
+    calls = _count_calls(monkeypatch, "is_valid")
     assert tableau_to_path(build(2, 0, 0, 5, {1}, {2, 3}, {4}, {5}))
     assert calls == []
     with pytest.raises(ValueError):
@@ -122,19 +123,20 @@ def test_malformed_tableau_is_rejected(cells, monkeypatch):
     assert len(calls) == 1
 
 
-def _count_is_valid(monkeypatch):
+def _count_calls(monkeypatch, name):
+    # the tableaux passed to bijection's function `name`
     calls = []
-    real = bijection.is_valid
+    real = getattr(bijection, name)
 
     def counted(tab):
         calls.append(tab)
         return real(tab)
-    monkeypatch.setattr(bijection, "is_valid", counted)
+    monkeypatch.setattr(bijection, name, counted)
     return calls
 
 
 def test_valid_tableaux_skip_is_valid(monkeypatch):
-    calls = _count_is_valid(monkeypatch)
+    calls = _count_calls(monkeypatch, "is_valid")
     assert sum(tableau_weight_counts(7, 1, 0).values()) > 0
     assert calls == []
 
@@ -224,14 +226,31 @@ def test_scan_refuses_what_is_valid_refuses():
             refused += 1
             assert got[0] is ValueError
     assert accepted > 1000 and refused > 1000
-    # an entry that equals an int but is none passes is_valid and still
-    # fails the scan with the same TypeError
+    # an entry that equals an int but is none is refused by both sides
     tab = build(2, 0, 0, 5, {1}, {2.0, 3}, {4}, {5})
-    assert is_valid(tab)
-    got = _outcome(tableau_to_path, tab)
-    assert got == _outcome(_two_pass_reference, tab)
-    assert got == (TypeError, "list indices must be integers or slices, "
-                   "not float")
+    for fn in (tableau_to_path, _two_pass_reference):
+        assert _outcome(fn, tab) == (ValueError, "entries must be exactly 1..5")
+    # True is the entry 1 on both sides, and comes back as the int 1
+    tab = build(2, 0, 0, 5, {True}, {2, 3}, {4}, {5})
+    got = tableau_to_path(tab)
+    assert got == _two_pass_reference(tab)
+    back = path_to_tableau(got)
+    assert back == build(2, 0, 0, 5, {1}, {2, 3}, {4}, {5})
+    assert all(type(entry) is int for cell in back.content for entry in cell)
+
+
+def test_each_tableau_is_scanned_once(monkeypatch):
+    # valid or refused, a tableau costs tableau_to_path one scan
+    scans = _count_calls(monkeypatch, "_scan")
+    tabs = [build(2, 0, 0, 5, {True}, {2, 3}, {4}, {5}),
+            build(2, 0, 0, 5, {1}, {2.0, 3}, {4}, {5}),
+            *islice(_fillings(random.Random(28)), 3000)]
+    outcomes = Counter()
+    for tab in tabs:
+        before = len(scans)
+        outcomes[type(_outcome(tableau_to_path, tab))] += 1
+        assert len(scans) == before + 1, tab
+    assert outcomes[ColouredPath] > 100 and outcomes[tuple] > 100
 
 
 def test_oracle_records_match_the_constructors():

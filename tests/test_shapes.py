@@ -13,6 +13,7 @@ from svtab.paths import enumerate_paths, unconstrained_weight_counts
 from svtab.shapes import (
     SetValuedTableau,
     TwoRowShape,
+    _cover_pairs,
     cells,
     count_tableaux,
     enumerate_tableaux,
@@ -60,6 +61,29 @@ def test_cells_reading_order():
 def test_cells_of_straight_shape():
     shape = TwoRowShape(e=2, t=0)
     assert cells(shape) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def test_cover_pairs_generate_the_order_of_the_definition():
+    # For every shape with e, t <= 4, the pairs read off cells() generate
+    # by transitivity exactly the definition's order: every pair of
+    # distinct cells where the second lies weakly right of and weakly
+    # below the first.
+    for e in range(5):
+        for t in range(5):
+            for f in range(e + t + 1):
+                shape = TwoRowShape(e, t, f)
+                coords = cells(shape)
+                order = {(a, b) for a, (i, j) in enumerate(coords)
+                         for b, (i2, j2) in enumerate(coords)
+                         if a != b and i2 >= i and j2 >= j}
+                closure = set(_cover_pairs(shape))
+                while True:
+                    longer = {(a, d) for a, b in closure
+                              for c, d in closure if b == c}
+                    if longer <= closure:
+                        break
+                    closure |= longer
+                assert closure == order, shape
 
 
 def test_tableau_requires_partition_of_1_to_n():
@@ -247,6 +271,28 @@ def test_shape_range_counts_and_row_split():
                     assert sum(k for (c, _, e), k in w.items()
                                if c + e + t - f == m) == \
                         rows[m, n - m], (n, f, t, m)
+
+
+_BAD_FRAMES = [((bad, 0, 1), "n", "positive", bad)
+               for bad in (2.5, 2.0, -1, 0, "2", True, False)]
+_BAD_FRAMES += [((3, 0, bad), "t", "nonnegative", bad)
+                for bad in (1.5, "1", -1, True)]
+_BAD_FRAMES += [((3, bad, 0), "f", "nonnegative", bad)
+                for bad in (1.5, "1", -1, False)]
+
+
+@pytest.mark.parametrize("count", [
+    tableau_weight_counts,
+    lambda *frame: list(shape_range(*frame)),
+], ids=["tableau_weight_counts", "shape_range"])
+@pytest.mark.parametrize("frame, name, kind, bad", _BAD_FRAMES,
+                         ids=[repr(frame) for frame, *_ in _BAD_FRAMES])
+def test_tableau_oracles_reject_a_bad_frame(count, frame, name, kind, bad):
+    # the checks and messages of enumerate_tableaux and enumerate_paths
+    with pytest.raises(ValueError) as err:
+        count(*frame)
+    assert str(err.value) == f"{name} must be a {kind} integer, got {bad!r}"
+    assert count(1, 0, 1)  # the one-cell shape
 
 
 def _drain_early(stream):
